@@ -20,11 +20,9 @@ simulator itself across its four generations of hot path:
   monitor rounds whose pre-state was seen before replay as slice
   assignments instead of re-simulating, bit-identical to the lanes path
   on the same counter-mode machine (asserted in-bench by digest);
-* **batch** — the trial-batch executor (DESIGN.md §2.6), measured at the
-  campaign level: grouped pool dispatch on microsecond trials and
-  in-process lockstep sessions on construction trials, in both RNG
-  modes (the counter-mode group executor stages the group's noise draws
-  as one cross-trial numpy pass).
+* **batch** — chunked dispatch (DESIGN.md §2.6), measured at the
+  campaign level: microsecond trials sent to the pool one per task vs.
+  16 per task.
 
 All serial-mode paths run the same workloads and — because the kernels
 and lanes are bit-identical by construction — must produce the same
@@ -115,7 +113,7 @@ PAGE_OFFSET = 0x2C0
 STAGES = ("reference", "batched", "kernels", "lanes")
 
 #: Everything ``--stages`` can select (the serial paths plus the
-#: counter-mode vec path, the campaign-level batch tier, and the
+#: counter-mode vec path, campaign-level chunked dispatch, and the
 #: checkpoint + construct-memo repeat-trial stage).
 ALL_COMPONENTS = STAGES + ("vec", "batch", "construct")
 
@@ -365,40 +363,20 @@ def _measure(quick: bool, path: str, ev_results):
     }, trial_machine
 
 
-# --- Trial-batch tier -------------------------------------------------------
+# --- Chunked dispatch -------------------------------------------------------
 
 
 def _bench_batch(quick: bool):
-    """Trial-batch executor (DESIGN.md §2.6): campaign-level throughput.
+    """Chunked dispatch (DESIGN.md §2.6): campaign-level throughput.
 
-    Two measurements, because the tier has two distinct effects:
-
-    * **dispatch** — microsecond trials (the ``noise-mc`` shape) through
-      ``run_campaign(jobs=4)``: with ``batch=16`` a whole group is one
-      pool task, amortizing submit/pickle/result IPC across its trials.
-      This is where batching buys real end-to-end throughput.
-    * **lockstep** — heavyweight construction trials run in-process as
-      one :class:`BatchSession`: N lane threads share one interpreter,
-      one NumPy import, and one plan cache (the memory story), but the
-      GIL serializes the python compute, so the in-mode ratio is an
-      *overhead bound* (~0.9-1.0x).  Cross-trial SIMD of the sweep hot
-      loop is infeasible under the per-access RNG-order contract
-      (DESIGN.md §2.6); under the event-keyed contract (§2.7) the
-      coordinator stages the group's noise draws as one cross-trial
-      numpy pass and the keyed scalar draws are themselves cheaper, so
-      the measurement is repeated under ``rng=counter`` and the
-      delivered speedup is ``counter_lockstep_speedup``: counter-mode
-      lockstep throughput over the default serial-contract serial path
-      — the end-to-end gain of switching contract + tier on the same
-      campaign.
-
-    Values are byte-compared between dispatch modes within each RNG
-    contract: the batch tier must not buy a single bit of divergence.
+    Microsecond trials (the ``noise-mc`` shape) through
+    ``run_campaign(jobs=4)``: with ``batch=16`` a whole chunk is one pool
+    task, amortizing submit/pickle/result IPC across its trials.  Values
+    are byte-compared between the two dispatch modes: chunking must not
+    buy a single bit of divergence.
     """
     from repro.exec import ExecPolicy, run_campaign
-    from repro.exec.campaigns import construction_campaign
     from repro.fleet.campaigns import NoiseWindowConfig, noise_mc_campaign
-    from repro.memsys.batchplane import batch_supported
 
     batch = 16
     # Enough trials that per-task dispatch cost dominates the constant
@@ -425,52 +403,11 @@ def _bench_batch(quick: bool):
     assert values[1] == values[batch], (
         "parity violation: batched dispatch changed campaign values"
     )
-
-    n_heavy = 4 if quick else 16
-    heavy = construction_campaign(trials=n_heavy, base_seed=29)
-
-    def _lockstep_pair():
-        t0 = perf_counter()
-        serial_result = run_campaign(heavy, ExecPolicy(jobs=1))
-        serial_rate = n_heavy / (perf_counter() - t0)
-        t0 = perf_counter()
-        batch_result = run_campaign(
-            heavy, ExecPolicy(jobs=1, batch=min(batch, n_heavy))
-        )
-        lockstep_rate = n_heavy / (perf_counter() - t0)
-        assert serial_result.ok and batch_result.ok
-        assert [r.value for r in batch_result.records] == [
-            r.value for r in serial_result.records
-        ], "parity violation: lockstep batch changed construction samples"
-        return serial_rate, lockstep_rate
-
-    serial_rate, lockstep_rate = _lockstep_pair()
-    saved_rng = os.environ.get("REPRO_RNG")
-    os.environ["REPRO_RNG"] = "counter"
-    try:
-        c_serial_rate, c_lockstep_rate = _lockstep_pair()
-    finally:
-        if saved_rng is None:
-            del os.environ["REPRO_RNG"]
-        else:
-            os.environ["REPRO_RNG"] = saved_rng
-
     return {
         "batch": batch,
-        "supported": batch_supported(),
         "dispatch_trials_per_sec_serial": best[1],
         "dispatch_trials_per_sec_batch": best[batch],
         "dispatch_speedup": best[batch] / best[1],
-        "lockstep_trials_per_sec_serial": serial_rate,
-        "lockstep_trials_per_sec_batch": lockstep_rate,
-        "lockstep_ratio": lockstep_rate / serial_rate,
-        "counter_lockstep_trials_per_sec_serial": c_serial_rate,
-        "counter_lockstep_trials_per_sec_batch": c_lockstep_rate,
-        "counter_lockstep_ratio": c_lockstep_rate / c_serial_rate,
-        # The delivered speedup: the same campaign through the new
-        # contract + batch tier vs the default serial-contract serial
-        # path (what every pre-PR-8 campaign paid).
-        "counter_lockstep_speedup": c_lockstep_rate / serial_rate,
     }
 
 
@@ -787,7 +724,7 @@ def run_perf(
     if want_batch:
         batch_results = _bench_batch(quick)
         btable = Table(
-            "Trial-batch tier (campaign-level, batch=16)",
+            "Chunked dispatch (campaign-level, batch=16)",
             ["Workload", "batch=1", "batch=16", "Ratio"],
         )
         btable.add_row(
@@ -796,23 +733,7 @@ def run_perf(
             f"{batch_results['dispatch_trials_per_sec_batch']:,.0f}",
             f"{batch_results['dispatch_speedup']:.2f}x",
         )
-        btable.add_row(
-            "construction lockstep (trials/s, jobs=1)",
-            f"{batch_results['lockstep_trials_per_sec_serial']:.3f}",
-            f"{batch_results['lockstep_trials_per_sec_batch']:.3f}",
-            f"{batch_results['lockstep_ratio']:.2f}x",
-        )
-        btable.add_row(
-            "construction lockstep, rng=counter (trials/s)",
-            f"{batch_results['counter_lockstep_trials_per_sec_serial']:.3f}",
-            f"{batch_results['counter_lockstep_trials_per_sec_batch']:.3f}",
-            f"{batch_results['counter_lockstep_ratio']:.2f}x",
-        )
         btable.print()
-        print(
-            "counter lockstep vs serial-contract serial: "
-            f"{batch_results['counter_lockstep_speedup']:.2f}x"
-        )
 
     construct_results = None
     if want_construct:
@@ -852,22 +773,14 @@ def run_perf(
             quick,
         )
     if batch_results is not None:
-        serial_batch = {
-            k: v for k, v in batch_results.items()
-            if not k.startswith("counter_")
-        }
+        serial_batch = batch_results  # serial RNG contract only
         history = _update_history(
             history, "PR 7", {"batch": serial_batch}, quick
         )
-    if want_vec or batch_results is not None:
+    if want_vec:
         pr8 = {}
         if want_vec:
             pr8["vec"] = vec_results
-        if batch_results is not None:
-            pr8["batch_counter"] = {
-                k: v for k, v in batch_results.items()
-                if k.startswith("counter_")
-            }
         history = _update_history(history, "PR 8", pr8, quick)
     if construct_results is not None:
         history = _update_history(
@@ -963,24 +876,13 @@ def run_perf(
         assert vec_base >= 1.5, (
             f"vec stage below 1.5x lanes accesses/sec: {vec_base:.2f}x"
         )
-    # Batch perf smoke: grouped dispatch must beat per-trial dispatch on
+    # Batch perf smoke: chunked dispatch must beat per-trial dispatch on
     # micro-trial campaign throughput (measured ~6x at batch=16; 1.5
-    # absorbs CI noise); in-mode lockstep threading must stay a bounded
-    # overhead on heavy trials (the GIL serializes the python compute —
-    # DESIGN.md §2.6/2.7 record why); and the counter-contract batch
-    # path must beat the serial-contract serial path it replaces.
-    if batch_results is not None and batch_results["supported"]:
+    # absorbs CI noise).
+    if batch_results is not None:
         assert batch_results["dispatch_speedup"] >= 1.5, (
             f"batched dispatch below 1.5x per-trial dispatch: "
             f"{batch_results['dispatch_speedup']:.2f}x"
-        )
-        assert batch_results["lockstep_ratio"] >= 0.6, (
-            f"lockstep batch overhead above bound: "
-            f"{batch_results['lockstep_ratio']:.2f}x of serial"
-        )
-        assert batch_results["counter_lockstep_speedup"] >= 1.1, (
-            f"counter-mode lockstep below serial-contract serial: "
-            f"{batch_results['counter_lockstep_speedup']:.2f}x"
         )
     # Construct perf gate (PR 9): the checkpoint + construct-memo repeat
     # path must beat the PR-8 counter-mode lanes baseline on repeated
@@ -1017,10 +919,6 @@ def run_perf(
         )
     if batch_results is not None:
         out["batch_dispatch_speedup"] = batch_results["dispatch_speedup"]
-        out["batch_lockstep_ratio"] = batch_results["lockstep_ratio"]
-        out["counter_lockstep_speedup"] = (
-            batch_results["counter_lockstep_speedup"]
-        )
     return out
 
 

@@ -11,14 +11,11 @@ sampling it:
   noise-clock monotonicity), installable as a per-access debug hook.
 * :mod:`repro.check.fuzz` — seeded attack-shaped traces replayed on all
   four tiers and diffed (``python -m repro fuzz``).
-* :mod:`repro.check.batchdiff` — the same traces replayed serial vs
-  batched on the trial-batch tier (``python -m repro fuzz --batch N``).
 * :mod:`repro.check.shrink` — ddmin reduction of diverging traces.
 * :mod:`repro.check.selftest` — a deliberate replacement-policy mutation
   proving the harness catches seeded faults.
 """
 
-from .batchdiff import BATCH_BASE_TIER, batch_vs_serial
 from .digest import (
     assert_digest_memo_blind,
     diff_keys,
@@ -51,10 +48,8 @@ from .selftest import replacement_policy_mutation, run_selftest
 from .shrink import shrink_trace
 
 __all__ = [
-    "BATCH_BASE_TIER",
     "DEFAULT_ARTIFACT_DIR",
     "FuzzConfig",
-    "batch_vs_serial",
     "InvariantChecker",
     "InvariantViolation",
     "TIERS",

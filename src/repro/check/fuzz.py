@@ -83,7 +83,7 @@ class FuzzConfig:
     noise: str = "mix"  # "none" | "cloud-quiet" | "cloud" | "local" | "mix"
     partition: str = "mix"  # "never" | "always" | "mix"
     n_ops: int = 10
-    rng_mode: str = "serial"  # "serial" | "counter" (DESIGN.md §2.6/§2.7)
+    rng_mode: str = "serial"  # "serial" | "counter" (DESIGN.md §2.7)
     check_invariants: bool = True
     defense: str = "mix"  # DEFENSE_NAMES entry | "mix"
 
@@ -520,7 +520,7 @@ def run_trace(
         "violation": violation,
         "checks": checker.checks,
         # Keys of every checkpoint taken (artifacts persist these, so a
-        # cross-tier or batch-vs-serial diff pins state at snapshot time).
+        # cross-tier diff pins state at snapshot time).
         "checkpoints": [
             rec
             for taken, rec in zip(trace["ops"], records)

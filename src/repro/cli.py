@@ -301,25 +301,6 @@ def cmd_fuzz(args) -> int:
         rng_mode=resolve_rng_mode(args.rng),
         defense=args.defense,
     )
-    if args.batch is not None:
-        from .check import batch_vs_serial
-
-        summary = batch_vs_serial(
-            cfg, range(args.seed, args.seed + args.seeds), args.batch
-        )
-        state = "" if summary["batch_supported"] else " (serial fallback)"
-        print(
-            f"batch differ: {summary['seeds']} traces on {args.machine}, "
-            f"batch={summary['batch']} vs serial {summary['tier']}{state} "
-            f"({summary['checks']} invariant checks): "
-            f"{len(summary['divergent'])} divergences, "
-            f"{len(summary['errors'])} errors"
-        )
-        for seed in summary["divergent"]:
-            print(f"  seed {seed}: {', '.join(summary['diffs'][seed])}")
-        for seed, message in summary["errors"].items():
-            print(f"  seed {seed}: {message}")
-        return 0 if summary["ok"] else 1
     if args.self_test:
         summary = run_selftest(
             dataclasses.replace(cfg, noise="none", partition="never"),
@@ -466,9 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-trial wall-clock timeout in seconds")
     p.add_argument("--retries", type=int, default=1,
                    help="resubmissions allowed after worker crashes")
-    p.add_argument("--batch", type=int, default=None,
-                   help="trials per lockstep batch (default: REPRO_BATCH "
-                   "or 1 = serial); results are identical for any value")
+    p.add_argument("--batch", type=int, default=1,
+                   help="trials per pool task with --jobs > 1 (default 1); "
+                   "results are identical for any value")
     p.add_argument("--journal-dir", default=str(DEFAULT_JOURNAL_DIR),
                    help="JSONL journal directory (reruns resume from it)")
     p.add_argument("--no-journal", action="store_true",
@@ -502,9 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="retries (with backoff) for a crashed shard")
         fp.add_argument("--timeout-s", type=float, default=None,
                         help="per-trial wall-clock timeout in seconds")
-        fp.add_argument("--batch", type=int, default=None,
-                        help="trials per lockstep batch inside each shard "
-                        "(default: REPRO_BATCH or 1 = serial)")
+        fp.add_argument("--batch", type=int, default=1,
+                        help="trials per pool task inside each shard with "
+                        "--jobs-per-shard > 1 (default 1)")
         fp.add_argument("--flush-every", type=int, default=64,
                         help="trials per durable segment flush")
         fp.add_argument("--stop-after-shards", type=int, default=None,
@@ -581,10 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (0 = all cores)")
     p.add_argument("--timeout-s", type=float, default=None,
                    help="per-trace wall-clock timeout in seconds")
-    p.add_argument("--batch", type=int, default=None, metavar="N",
-                   help="batch-vs-serial differ: replay each trace on the "
-                   "lanes tier alone and inside a lockstep batch of N, "
-                   "and require bit-identical records and digests")
     p.add_argument("--artifact-dir", default=None,
                    help="where to write shrunk diverging-trace artifacts "
                    "(default .repro/fuzz)")

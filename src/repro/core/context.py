@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .._util import make_rng, median, spawn_rng
 from ..config import LINE_BYTES, LINES_PER_PAGE, PAGE_BYTES
 from ..errors import ConfigurationError
-from ..memsys import batchplane
 from ..memsys.kernels import AttackKernels, PlaneRows, TranslationPlane
 from ..memsys.lanes import LaneKernels
 from ..memsys.machine import Machine
@@ -126,27 +125,14 @@ class AttackerContext:
     def lane_kernels(self) -> LaneKernels:
         """The lane-specialized kernel bundle (lazy singleton).
 
-        Inside a :class:`repro.memsys.batchplane.BatchSession` lane
-        thread this resolves to a session-bound
-        :class:`~repro.memsys.batchplane.BatchLaneKernels` instead, so
-        the trial's planned operations rendezvous with its batch.  The
-        context must be used on the thread that first called this (the
-        batch executor creates one context per trial per lane thread).
-
-        On counter-RNG machines the standalone bundle upgrades to
+        On counter-RNG machines the bundle upgrades to
         :class:`~repro.memsys.vec.VecKernels` — identical results, with
         monitor rounds memo-replayed (legal only under the event-keyed
         draw contract; see DESIGN.md).
         """
         kernels = self._lane_kernels
         if kernels is None:
-            slot = batchplane.current_slot()
-            if slot is not None:
-                kernels = batchplane.BatchLaneKernels(
-                    self.machine, self._plane, self.main_core,
-                    self.helper_core, slot=slot,
-                )
-            elif getattr(self.machine.hierarchy, "crng", None) is not None:
+            if getattr(self.machine.hierarchy, "crng", None) is not None:
                 kernels = VecKernels(
                     self.machine, self._plane, self.main_core,
                     self.helper_core,

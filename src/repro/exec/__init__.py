@@ -45,7 +45,6 @@ from .executor import (
     TrialTimeout,
     default_jobs,
     run_campaign,
-    run_trial_batch,
 )
 from .journal import DEFAULT_JOURNAL_DIR, CampaignJournal
 from .prefix import (
@@ -92,7 +91,6 @@ __all__ = [
     "prefix_enabled",
     "prefix_key",
     "run_campaign",
-    "run_trial_batch",
     "seed_stream",
     "summarize_construction_samples",
     "thread_store",

@@ -8,9 +8,12 @@ that contract:
 
 * ``jobs > 1`` fans trials out over a ``ProcessPoolExecutor`` (fork
   context where available, so trial functions defined in scripts and
-  benchmark modules pickle by reference).
+  benchmark modules pickle by reference).  A pool task is a chunk of
+  ``batch`` specs that the worker runs one after another.
 * Per-trial timeouts are enforced *inside* the worker with ``SIGALRM``,
-  so a runaway trial is cut off without killing its worker.
+  so a runaway trial is cut off without killing its worker.  The alarm
+  needs a main thread, so a caller off the main thread that sets a
+  timeout always runs its trials in worker processes.
 * A worker process dying (OOM, segfault, ``os._exit``) breaks the pool;
   the engine restarts it and resubmits the unfinished trials, bounding
   resubmissions per trial by ``max_retries`` before recording the trial
@@ -53,19 +56,20 @@ class ExecPolicy:
     ``jobs=None`` means one worker per available core.  ``timeout_s`` is
     the per-trial budget (None = unlimited).  ``max_retries`` bounds how
     many times a trial may be resubmitted after worker crashes.
-    ``batch`` groups trials into in-process lockstep batches (see
-    :mod:`repro.memsys.batchplane`): ``None`` defers to the
-    ``REPRO_BATCH`` environment variable, and any value resolves back to
-    serial when numpy is absent or a per-trial timeout is requested
-    (``SIGALRM`` cannot interrupt lane threads).  With ``jobs > 1`` a
-    whole batch becomes the pool-task unit, amortizing submit/pickle
-    overhead across its trials.
+    ``batch`` is how many trials go to a worker as one pool task; the
+    task runs them one after another, amortizing submit/pickle overhead
+    across its trials.  Results are identical for any value, and the
+    in-process serial path ignores it.
     """
 
     jobs: Optional[int] = 1
     timeout_s: Optional[float] = None
     max_retries: int = 1
-    batch: Optional[int] = None
+    batch: int = 1
+
+    def __post_init__(self) -> None:
+        if self.batch < 1:
+            raise ValueError(f"batch must be >= 1, got {self.batch}")
 
     def resolved_jobs(self) -> int:
         if self.jobs is None:
@@ -73,15 +77,6 @@ class ExecPolicy:
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         return self.jobs
-
-    def resolved_batch(self) -> int:
-        """Trials per lockstep batch; ``None`` defers to ``REPRO_BATCH``."""
-        batch = self.batch
-        if batch is None:
-            batch = int(os.environ.get("REPRO_BATCH", "1") or 1)
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        return batch
 
 
 def default_jobs() -> int:
@@ -147,7 +142,8 @@ def _trial_alarm(timeout_s: Optional[float]):
 
     Uses ``SIGALRM``; silently a no-op off the main thread or on
     platforms without ``setitimer`` (the trial then just runs to
-    completion).
+    completion).  :func:`run_campaign` therefore sends timed trials of
+    a caller off the main thread to worker processes.
     """
     usable = (
         timeout_s is not None
@@ -171,6 +167,15 @@ def _trial_alarm(timeout_s: Optional[float]):
         signal.signal(signal.SIGALRM, previous)
 
 
+def _failed_record(spec: TrialSpec, exc: BaseException) -> TrialResult:
+    return TrialResult(
+        index=spec.index,
+        seed=spec.seed,
+        status="failed",
+        error=f"{type(exc).__name__}: {exc}",
+    )
+
+
 def _execute_spec(spec: TrialSpec, timeout_s: Optional[float]) -> TrialResult:
     """Run one trial in this process, mapping outcomes to a record."""
     start = time.perf_counter()
@@ -192,48 +197,11 @@ def _execute_spec(spec: TrialSpec, timeout_s: Optional[float]) -> TrialResult:
     )
 
 
-def _pool_worker(spec: TrialSpec, timeout_s: Optional[float]) -> TrialResult:
-    """Top-level pool entry point (must be picklable by reference)."""
-    return _execute_spec(spec, timeout_s)
-
-
-def run_trial_batch(
-    specs: List[TrialSpec], timeout_s: Optional[float] = None
-) -> List[TrialResult]:
-    """Run ``specs`` as one in-process lockstep batch; one record each.
-
-    Each trial executes on its own lane thread of a
-    :class:`~repro.memsys.batchplane.BatchSession`, so its machine,
-    RNG streams, and clock are untouched by its batch-mates and the
-    records are bit-identical to a serial loop over the same specs.
-    Falls back to a plain serial loop when batching is unsupported.
-    """
-    from ..memsys import batchplane
-
-    thunks = [(lambda s=s: _execute_spec(s, timeout_s)) for s in specs]
-    records = []
-    for spec, outcome in zip(specs, batchplane.run_batched(thunks)):
-        record = outcome.value
-        if record is None:  # skipped lane / non-Exception escape
-            record = TrialResult(
-                index=spec.index,
-                seed=spec.seed,
-                status="failed",
-                error=f"{type(outcome.error).__name__}: {outcome.error}",
-            )
-        records.append(record)
-    return records
-
-
-def _pool_worker_batch(
+def _pool_worker(
     specs: List[TrialSpec], timeout_s: Optional[float]
 ) -> List[TrialResult]:
-    """Top-level pool entry point for one batched group of trials."""
-    return run_trial_batch(specs, timeout_s)
-
-
-def _chunk_specs(specs: List[TrialSpec], batch: int) -> List[List[TrialSpec]]:
-    return [specs[i : i + batch] for i in range(0, len(specs), batch)]
+    """Top-level pool entry point (must be picklable by reference)."""
+    return [_execute_spec(spec, timeout_s) for spec in specs]
 
 
 def _mp_context():
@@ -244,7 +212,7 @@ def _mp_context():
     return None
 
 
-#: Sentinel: an isolated final attempt's own pool died — the group is
+#: Sentinel: an isolated final attempt's own pool died — the trial is
 #: definitively the crasher, not collateral of a pool-mate.
 _CRASHED = object()
 
@@ -252,52 +220,39 @@ _CRASHED = object()
 class _ParallelRun:
     """One parallel drain of a set of specs, with crash recovery.
 
-    The dispatch unit is a *group* of specs: one spec per task in the
-    default ``batch == 1`` mode (submitted through ``_pool_worker``,
-    byte-identical to the historical path), or a lockstep batch of up to
-    ``batch`` specs (submitted through ``_pool_worker_batch``).  Crash
-    retry bookkeeping is per group — a worker death re-runs the whole
-    group, which is sound because trials are pure functions of their
-    specs.
+    The dispatch unit is a *group* of up to ``policy.batch`` specs, one
+    pool task each.  Crash retry bookkeeping is per group — a worker
+    death re-runs the whole group, which is sound because trials are
+    pure functions of their specs.
     """
 
     def __init__(
         self,
         policy: ExecPolicy,
         emit: Callable[[TrialResult, Optional[int]], None],
-        batch: int = 1,
     ):
         self.policy = policy
         self.emit = emit
-        self.batch = batch
         self.restarts = 0
         self.retried = 0
 
     def _submit(self, pool, group: List[TrialSpec]):
-        if self.batch > 1:
-            return pool.submit(_pool_worker_batch, group, self.policy.timeout_s)
-        return pool.submit(_pool_worker, group[0], self.policy.timeout_s)
+        return pool.submit(_pool_worker, group, self.policy.timeout_s)
 
-    def _emit_group(
-        self, group: List[TrialSpec], result, attempts: int
-    ) -> None:
-        records = result if isinstance(result, list) else [result]
-        for record in records:
-            self.emit(record, attempts)
+    def _final_attempt(self, spec: TrialSpec):
+        """Re-run one out-of-retries trial alone in a one-worker pool.
 
-    def _final_attempt(self, group: List[TrialSpec]):
-        """Re-run an out-of-retries group alone in a one-worker pool.
-
-        A broken shared pool cannot say *which* group killed the worker:
-        every in-flight future reports ``BrokenProcessPool``, so the
-        culprit and its innocent pool-mates are indistinguishable.
-        Condemning on that evidence alone intermittently marks healthy
-        trials crashed.  Because trials are pure functions of their
-        specs, the final charged attempt can instead be re-executed in
-        isolation, where a breakage convicts this group and this group
-        only.  Returns the group's records, ``_CRASHED`` if the
-        isolated pool died too, or ``None`` if no pool could be made
-        (caller falls back to the historical verdict).
+        A broken shared pool cannot say *which* trial killed the worker:
+        every in-flight future reports ``BrokenProcessPool``, and a
+        group's own task dies with its worst trial, so the culprit and
+        its innocent pool- and group-mates are indistinguishable.
+        Condemning on that evidence alone marks healthy trials crashed.
+        Because trials are pure functions of their specs, the final
+        charged attempt can instead be re-executed in isolation, where a
+        breakage convicts this trial and this trial only.  Returns the
+        trial's record, ``_CRASHED`` if the isolated pool died too, or
+        ``None`` if no pool could be made (caller falls back to the
+        historical verdict).
         """
         try:
             pool = ProcessPoolExecutor(max_workers=1, mp_context=_mp_context())
@@ -305,23 +260,16 @@ class _ParallelRun:
             return None
         try:
             with pool:
-                return self._submit(pool, group).result()
+                return self._submit(pool, [spec]).result()[0]
         except (BrokenProcessPool, OSError, RuntimeError):
             return _CRASHED
         except Exception as exc:  # noqa: BLE001 - worker-raised, pool healthy
-            return [
-                TrialResult(
-                    index=spec.index,
-                    seed=spec.seed,
-                    status="failed",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                for spec in group
-            ]
+            return _failed_record(spec, exc)
 
     def run(self, specs: List[TrialSpec]) -> List[TrialSpec]:
         """Execute specs; returns specs left over if no pool could be made."""
-        groups = _chunk_specs(specs, self.batch)
+        batch = self.policy.batch
+        groups = [specs[i : i + batch] for i in range(0, len(specs), batch)]
         pending: Dict[int, List[TrialSpec]] = {g[0].index: g for g in groups}
         attempts: Dict[int, int] = {key: 0 for key in pending}
         jobs = self.policy.resolved_jobs()
@@ -356,21 +304,16 @@ class _ParallelRun:
                             key = futures[future]
                             group = pending.get(key, [])
                             try:
-                                result = future.result()
+                                records = future.result()
                             except BrokenProcessPool:
                                 broken = True
                                 continue
                             except Exception as exc:  # noqa: BLE001
-                                result = [
-                                    TrialResult(
-                                        index=spec.index,
-                                        seed=spec.seed,
-                                        status="failed",
-                                        error=f"{type(exc).__name__}: {exc}",
-                                    )
-                                    for spec in group
+                                records = [
+                                    _failed_record(spec, exc) for spec in group
                                 ]
-                            self._emit_group(group, result, attempts[key])
+                            for record in records:
+                                self.emit(record, attempts[key])
                             pending.pop(key, None)
                     if broken:
                         # Let any still-healthy workers finish, then harvest
@@ -381,10 +324,11 @@ class _ParallelRun:
                             if key not in pending or not future.done():
                                 continue
                             try:
-                                result = future.result()
+                                records = future.result()
                             except Exception:  # noqa: BLE001
                                 continue
-                            self._emit_group(pending[key], result, attempts[key])
+                            for record in records:
+                                self.emit(record, attempts[key])
                             pending.pop(key, None)
             except BrokenProcessPool:
                 broken = True
@@ -393,27 +337,23 @@ class _ParallelRun:
                 for key, group in list(pending.items()):
                     if attempts[key] <= self.policy.max_retries:
                         continue  # gets another shared round
-                    verdict = self._final_attempt(group)
-                    if verdict is _CRASHED:
-                        self.restarts += 1
-                    if verdict is _CRASHED or verdict is None:
-                        for spec in group:
-                            self.emit(
-                                TrialResult(
-                                    index=spec.index,
-                                    seed=spec.seed,
-                                    status="crashed",
-                                    error=(
-                                        "worker process died; retries "
-                                        f"exhausted after {attempts[key]} "
-                                        "attempts"
-                                    ),
-                                    attempts=attempts[key],
+                    for spec in group:
+                        record = self._final_attempt(spec)
+                        if record is _CRASHED:
+                            self.restarts += 1
+                        if record is _CRASHED or record is None:
+                            record = TrialResult(
+                                index=spec.index,
+                                seed=spec.seed,
+                                status="crashed",
+                                error=(
+                                    "worker process died; retries "
+                                    f"exhausted after {attempts[key]} "
+                                    "attempts"
                                 ),
-                                attempts[key],
+                                attempts=attempts[key],
                             )
-                    else:
-                        self._emit_group(group, verdict, attempts[key])
+                        self.emit(record, attempts[key])
                     pending.pop(key)
         return []
 
@@ -466,31 +406,25 @@ def run_campaign(
             journal.append(record)
         reporter.update(record)
 
-    batch = policy.resolved_batch()
-    if batch > 1:
-        from ..memsys.batchplane import batch_supported
-
-        # SIGALRM timeouts only fire on a main thread, so a timeout
-        # budget forces per-trial dispatch; no numpy means no lanes to
-        # rendezvous, so batching would only add thread overhead.
-        if policy.timeout_s is not None or not batch_supported():
-            batch = 1
-
+    # SIGALRM only fires on the main thread, so a caller off it (a fleet
+    # shard runs on a scheduler thread) honours a timeout only by running
+    # its trials on the main threads of worker processes.
+    timed_off_main = (
+        policy.timeout_s is not None
+        and threading.current_thread() is not threading.main_thread()
+    )
     restarts = retried = 0
     leftover = pending
-    if pending and policy.resolved_jobs() > 1 and len(pending) > 1:
-        run = _ParallelRun(policy, emit, batch=batch)
+    if pending and (
+        timed_off_main or (policy.resolved_jobs() > 1 and len(pending) > 1)
+    ):
+        run = _ParallelRun(policy, emit)
         leftover = run.run(pending)
         restarts, retried = run.restarts, run.retried
 
     # Serial path: jobs == 1, a single pending trial, or pool unavailable.
-    if batch > 1:
-        for group in _chunk_specs(leftover, batch):
-            for record in run_trial_batch(group, policy.timeout_s):
-                emit(record)
-    else:
-        for spec in leftover:
-            emit(_execute_spec(spec, policy.timeout_s))
+    for spec in leftover:
+        emit(_execute_spec(spec, policy.timeout_s))
 
     elapsed = time.perf_counter() - started
     ordered = tuple(records[i] for i in sorted(records))

@@ -48,11 +48,13 @@ class FleetPolicy:
     ``jobs_per_shard`` sizes each shard's process pool (CPU fan-out);
     ``max_inflight`` bounds concurrently executing shards (pipeline
     overlap); ``queue_depth`` / ``result_buffer`` bound the dispatch and
-    results queues (backpressure).  ``batch`` groups each shard's trials
-    into lockstep batches (``None`` defers to ``REPRO_BATCH``; see
-    :class:`repro.exec.ExecPolicy`), making the shard the natural batch
-    axis.  ``stop_after_shards`` is an ops/test knob: drain gracefully
-    once that many shards finished this run.
+    results queues (backpressure).  ``batch`` is how many of a shard's
+    trials go to one of its workers as a single pool task (see
+    :class:`repro.exec.ExecPolicy`).  Shards run on scheduler threads,
+    where a ``SIGALRM`` cannot fire, so a ``timeout_s`` runs every
+    shard's trials in worker processes even at ``jobs_per_shard=1``.
+    ``stop_after_shards`` is an ops/test knob: drain gracefully once
+    that many shards finished this run.
     """
 
     shard_size: int = DEFAULT_SHARD_SIZE
@@ -65,12 +67,12 @@ class FleetPolicy:
     timeout_s: Optional[float] = None
     trial_retries: int = 1
     flush_every: int = 64
-    batch: Optional[int] = None
+    batch: int = 1
     stop_after_shards: Optional[int] = None
 
     def __post_init__(self) -> None:
         for field in ("shard_size", "max_inflight", "jobs_per_shard",
-                      "queue_depth", "result_buffer", "flush_every"):
+                      "queue_depth", "result_buffer", "flush_every", "batch"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1")
 

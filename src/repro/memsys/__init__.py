@@ -10,14 +10,6 @@ The public entry point is :class:`repro.memsys.machine.Machine`.
 """
 
 from .address import AddressSpace, line_address, page_offset
-from .batchplane import (
-    BatchLaneKernels,
-    BatchSession,
-    batch_disabled,
-    batch_supported,
-    run_batched,
-    stack_shared_planes,
-)
 from .cache import SetAssociativeCache
 from .hierarchy import CacheHierarchy, Level, NOISE_OWNER
 from .kernels import AttackKernels, PlaneRows, TranslationPlane, kernels_disabled
@@ -31,8 +23,6 @@ from .vec import VecKernels, construct_memo_disabled, vec_disabled
 __all__ = [
     "AddressSpace",
     "AttackKernels",
-    "BatchLaneKernels",
-    "BatchSession",
     "CacheHierarchy",
     "ComplexSliceHash",
     "HAVE_NUMPY",
@@ -46,16 +36,12 @@ __all__ = [
     "SetAssociativeCache",
     "TranslationPlane",
     "VecKernels",
-    "batch_disabled",
-    "batch_supported",
     "checkpoint",
     "checkpoint_key",
     "construct_memo_disabled",
     "kernels_disabled",
     "restore",
     "lanes_disabled",
-    "run_batched",
-    "stack_shared_planes",
     "vec_disabled",
     "line_address",
     "make_policy",

@@ -1,11 +1,11 @@
 """Event-keyed (counter-based) RNG for order-independent stochastic draws.
 
-The serial-order contract (DESIGN.md §2.6) draws every stochastic event —
+The serial-order contract (DESIGN.md §2.7) draws every stochastic event —
 noise Poisson arrivals, SF reuse-predictor insertions, L2-victim
 write-backs, random-policy victims — from one shared serial stream in
 strict access order.  That makes the draws *positional*: any execution
-tier that reorders work (vectorized sweeps, cross-trial lockstep lanes)
-would consume the stream in a different order and break bit-parity.
+tier that reorders work (vectorized sweeps, memo replay) would consume
+the stream in a different order and break bit-parity.
 
 This module implements the alternative contract (DESIGN.md §2.7): every
 draw is a pure function of *what* event it is, not *when* it is drawn::
@@ -18,7 +18,7 @@ for a noise reconciliation window, ``(set_index, event_counter)`` for a
 reuse draw), and ``i`` indexes multiple uniforms inside one event (a
 Knuth Poisson loop).  Draws with the same key give the same value no
 matter which tier draws them, in which order, or how many times — which
-is exactly what legalizes vectorized and lockstep execution.
+is exactly what legalizes vectorized execution and memo replay.
 
 The mixer is SplitMix64 (Steele et al., "Fast splittable pseudorandom
 number generators"), a 64-bit finalizer with full avalanche; it is not
@@ -78,7 +78,7 @@ class CounterRng:
     two modes share a seeding story but never a stream.
     """
 
-    __slots__ = ("seed", "_key", "_h1", "_pre")
+    __slots__ = ("seed", "_key", "_h1")
 
     #: Knuth's product-of-uniforms loop is O(lam); beyond this mean a
     #: normal approximation is indistinguishable for the cache model
@@ -89,12 +89,6 @@ class CounterRng:
         self.seed = seed
         self._key = make_rng(("counter-rng", seed)).getrandbits(64)
         self._h1 = {}
-        #: Precomputed draw staging: ``(stream, k1, k2) -> n``, filled in
-        #: bulk by group executors (:mod:`repro.memsys.batchplane`) and
-        #: consumed by :meth:`noise_poisson`.  Draws are pure functions of
-        #: the key, so staging extra values (or none) never changes any
-        #: result — only how fast it is obtained.
-        self._pre = {}
 
     # -- Scalar draws ------------------------------------------------------
 
@@ -141,11 +135,6 @@ class CounterRng:
         """
         if lam <= 0.0:
             return 0
-        pre = self._pre
-        if pre:
-            n = pre.pop((stream, sidx, old), None)
-            if n is not None:
-                return n
         u01 = self.u01
         if lam < 0.01:
             return 1 if u01(stream, sidx, old, 0) < lam else 0
@@ -194,37 +183,11 @@ class CounterRng:
         return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
 
     @staticmethod
-    def _mix64_np(z):
-        np = _np
-        with np.errstate(over="ignore"):
-            return CounterRng._mix64_np_nc(z)
-
-    @staticmethod
     def _mix64_np_nc(z):
         np = _np
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> np.uint64(31))
-
-    @staticmethod
-    def u01_keyed_many(keys, streams, k1s, k2s, i: int = 0):
-        """Cross-trial keyed uniforms: one lane per ``(key, stream, k1, k2)``.
-
-        Unlike :meth:`u01_many`, the master key and stream id vary per
-        lane, so a group executor can evaluate draws for *many trials*
-        (each with its own :class:`CounterRng`) in a single numpy pass —
-        the serial-order contract structurally forbids this, the keyed
-        contract makes it a strength reduction.  All inputs are uint64
-        arrays; bit-identical to per-lane :meth:`u01`.
-        """
-        np = _np
-        with np.errstate(over="ignore"):
-            z = streams * np.uint64(0x9E3779B97F4A7C15) + k1s
-            z = CounterRng._mix64_np(z)
-            h = CounterRng._mix64_np(keys ^ z)
-            z2 = k2s * np.uint64(0xD1342543DE82EF95) + np.uint64(i)
-            h = CounterRng._mix64_np(h + CounterRng._mix64_np(z2))
-        return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
 
     def noise_poisson_many(self, stream: int, sidxs, olds, lams):
         """Vector of keyed noise draws (numpy), scalar-identical per lane.

@@ -341,17 +341,6 @@ class TestCounterStatistics:
              for old in range(500)]
         assert a == b
 
-    def test_staging_is_value_neutral(self):
-        """A pre-staged draw is consumed verbatim; unkeyed draws unaffected."""
-        crng = CounterRng(17)
-        live = crng.noise_poisson(S_NOISE_SF, 8, 1000, 0.005)
-        staged = CounterRng(17)
-        staged._pre[(S_NOISE_SF, 8, 1000)] = live
-        assert staged.noise_poisson(S_NOISE_SF, 8, 1000, 0.005) == live
-        assert not staged._pre  # consumed
-        assert (staged.noise_poisson(S_NOISE_LLC, 8, 1000, 0.005)
-                == crng.noise_poisson(S_NOISE_LLC, 8, 1000, 0.005))
-
 
 class TestVectorScalarAgreement:
     """The numpy bulk draws must be bit-identical to the scalar ones."""
@@ -368,17 +357,6 @@ class TestVectorScalarAgreement:
         vec = crng.u01_many(S_NOISE_SF, k1s, k2s, 0)
         for j in range(512):
             assert vec[j] == crng.u01(S_NOISE_SF, int(k1s[j]), int(k2s[j]), 0)
-
-    def test_u01_keyed_many_matches_scalar_across_trials(self):
-        np = rngmod._np
-        rngs = [CounterRng(seed) for seed in range(40)]
-        keys = np.array([r._key for r in rngs], dtype=np.uint64)
-        streams = np.full(40, S_NOISE_LLC, dtype=np.uint64)
-        k1s = np.arange(40, dtype=np.uint64) % 8
-        k2s = np.arange(40, dtype=np.uint64) * 1313
-        vec = CounterRng.u01_keyed_many(keys, streams, k1s, k2s, 0)
-        for j, r in enumerate(rngs):
-            assert vec[j] == r.u01(S_NOISE_LLC, int(k1s[j]), int(k2s[j]), 0)
 
     def test_noise_poisson_many_matches_scalar(self):
         np = rngmod._np

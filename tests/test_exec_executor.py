@@ -50,10 +50,11 @@ def _campaign(fn, cfg, trials, **kwargs):
 
 
 class TestParity:
-    def test_parallel_matches_serial_on_fixed_seed(self):
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_parallel_matches_serial_on_fixed_seed(self, batch):
         campaign = _campaign(rng_trial, {"bound": 1000, "n": 32}, trials=9)
         serial = run_campaign(campaign, ExecPolicy(jobs=1))
-        parallel = run_campaign(campaign, ExecPolicy(jobs=3))
+        parallel = run_campaign(campaign, ExecPolicy(jobs=3, batch=batch))
         assert serial.ok and parallel.ok
         assert serial.values() == parallel.values()
         assert [r.seed for r in serial.records] == [
@@ -75,12 +76,15 @@ class TestParity:
 
 
 class TestFailures:
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_exceptions_become_failed_records(self, jobs):
+    @pytest.mark.parametrize(
+        "jobs, batch", [(1, 1), (3, 1), (1, 4), (3, 4)],
+        ids=["1", "3", "1-batch4", "3-batch4"],
+    )
+    def test_exceptions_become_failed_records(self, jobs, batch):
         campaign = _campaign(
             failing_trial, {}, trials=6, seed_mode="arithmetic", base_seed=0
         )
-        result = run_campaign(campaign, ExecPolicy(jobs=jobs))
+        result = run_campaign(campaign, ExecPolicy(jobs=jobs, batch=batch))
         assert not result.ok
         statuses = {r.seed: r.status for r in result.records}
         assert all(
@@ -103,8 +107,11 @@ class TestFailures:
 
 
 class TestTimeout:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_slow_trial_times_out(self, jobs):
+    @pytest.mark.parametrize(
+        "jobs, batch", [(1, 1), (2, 1), (1, 2), (2, 4)],
+        ids=["1", "2", "1-batch2", "2-batch4"],
+    )
+    def test_slow_trial_times_out(self, jobs, batch):
         campaign = _campaign(
             sleepy_trial,
             {"slow_seed": 2, "sleep_s": 5.0},
@@ -113,7 +120,9 @@ class TestTimeout:
             base_seed=1,
         )
         start = time.monotonic()
-        result = run_campaign(campaign, ExecPolicy(jobs=jobs, timeout_s=0.3))
+        result = run_campaign(
+            campaign, ExecPolicy(jobs=jobs, timeout_s=0.3, batch=batch)
+        )
         assert time.monotonic() - start < 4.0
         statuses = {r.seed: r.status for r in result.records}
         assert statuses == {1: "ok", 2: "timeout", 3: "ok"}
@@ -124,7 +133,8 @@ class TestTimeout:
 
 
 class TestCrashRecovery:
-    def test_retry_exhaustion_marks_trial_crashed(self):
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_retry_exhaustion_marks_trial_crashed(self, batch):
         campaign = _campaign(
             crashing_trial,
             {"crash_seed": 12},
@@ -132,13 +142,16 @@ class TestCrashRecovery:
             seed_mode="arithmetic",
             base_seed=10,
         )
-        result = run_campaign(campaign, ExecPolicy(jobs=2, max_retries=1))
+        result = run_campaign(
+            campaign, ExecPolicy(jobs=2, max_retries=1, batch=batch)
+        )
         by_seed = {r.seed: r for r in result.records}
         crashed = by_seed[12]
         assert crashed.status == "crashed"
         assert crashed.attempts == 2  # initial attempt + one retry
         assert "retries exhausted" in crashed.error
-        # The surviving trials still complete correctly.
+        # The surviving trials -- group-mates of the crasher included --
+        # still complete correctly.
         assert result.values() == [11, 12, 14]
         assert result.metrics.pool_restarts >= 1
         assert result.metrics.retried >= 1
@@ -189,3 +202,7 @@ class TestPolicy:
             ExecPolicy(jobs=0).resolved_jobs()
         with pytest.raises(ValueError):
             ExecPolicy(jobs=-1).resolved_jobs()
+
+    def test_non_positive_batch_rejected(self):
+        with pytest.raises(ValueError):
+            ExecPolicy(batch=0)

@@ -6,6 +6,8 @@ import json
 import os
 from pathlib import Path
 
+import pytest
+
 from repro.exec import (
     Campaign,
     CampaignJournal,
@@ -35,20 +37,20 @@ def _executions(cfg) -> int:
 
 
 class TestResume:
-    def test_rerun_serves_all_trials_from_journal(self, tmp_path):
+    @pytest.mark.parametrize("jobs, batch", [(1, 1), (2, 2)])
+    def test_rerun_serves_all_trials_from_journal(self, tmp_path, jobs, batch):
         cfg = {"marker_dir": str(tmp_path / "markers")}
         campaign = Campaign.build("journal-t", counted_trial, cfg, trials=5)
         journal_dir = tmp_path / "journals"
+        policy = ExecPolicy(jobs=jobs, batch=batch)
 
         first = run_campaign(
-            campaign, ExecPolicy(jobs=1),
-            journal=CampaignJournal(journal_dir, campaign),
+            campaign, policy, journal=CampaignJournal(journal_dir, campaign),
         )
         assert first.ok and _executions(cfg) == 5
 
         second = run_campaign(
-            campaign, ExecPolicy(jobs=1),
-            journal=CampaignJournal(journal_dir, campaign),
+            campaign, policy, journal=CampaignJournal(journal_dir, campaign),
         )
         assert second.ok
         assert _executions(cfg) == 5  # nothing re-ran

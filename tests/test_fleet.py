@@ -47,6 +47,13 @@ def _campaign(trials=100, seed=7):
     return noise_mc_campaign(env="cloud", trials=trials, base_seed=seed)
 
 
+def sleepy_trial(cfg, seed):
+    # Module level: with a timeout, shard trials run in worker processes.
+    if seed == cfg["slow_seed"]:
+        time.sleep(cfg["sleep_s"])
+    return {"seed": seed}
+
+
 def _serial_values(campaign):
     return run_campaign(campaign, ExecPolicy(jobs=1)).raise_on_failure().values()
 
@@ -88,9 +95,10 @@ class TestSharding:
 class TestStoreAndResume:
     def test_fleet_matches_serial_run_campaign(self, tmp_path):
         campaign = _campaign(trials=300)
-        report, store = run_fleet(
-            campaign, tmp_path, FleetPolicy(shard_size=64, max_inflight=3)
+        policy = FleetPolicy(
+            shard_size=64, max_inflight=3, jobs_per_shard=2, batch=16
         )
+        report, store = run_fleet(campaign, tmp_path, policy)
         assert report.complete and report.failed_trials == 0
         fleet_values = [v for _, v in store.iter_values()]
         assert fleet_values == _serial_values(campaign)
@@ -260,6 +268,22 @@ class TestScheduler:
         # The successful trials are durable despite the failures.
         ok = dict(store.iter_completed())
         assert all(obj["seed"] % 3 != 0 for obj in ok.values())
+
+    def test_timeout_enforced_on_shard_threads(self, tmp_path):
+        from repro.exec.spec import Campaign
+
+        campaign = Campaign.build(
+            "sleepy", sleepy_trial, {"slow_seed": 3, "sleep_s": 10.0},
+            trials=8, seed_mode="arithmetic", base_seed=0,
+        )
+        policy = FleetPolicy(shard_size=8, timeout_s=0.3, retry_backoff_s=0.0)
+        start = time.monotonic()
+        report, store = run_fleet(campaign, tmp_path, policy)
+        assert time.monotonic() - start < 5.0
+        assert report.failed_trials == 1
+        assert sorted(obj["seed"] for _, obj in store.iter_completed()) == [
+            0, 1, 2, 4, 5, 6, 7,
+        ]
 
     def test_drain_before_start_executes_nothing(self, tmp_path):
         campaign = _campaign(trials=100)
