@@ -1,221 +1,17 @@
-"""Batch-vs-serial parity: the trial-batch tier (DESIGN.md §2.6).
+"""Batch-vs-serial parity for chunked dispatch (DESIGN.md §2.6).
 
-:mod:`repro.memsys.batchplane` promises that a trial run on a
-:class:`BatchSession` lane thread — rendezvousing its planned lane ops
-with its batch-mates — is bit-identical to the same trial run alone.
-These suites run the lane-parity batteries both ways and require exact
-agreement on every observable: verdicts, hierarchy stats, the simulated
-clock, noise event counts, and the full ``getstate()`` of every RNG
-stream.  The golden fingerprints are *the same values* as in
-``tests/test_kernel_parity.py`` / ``tests/test_lane_parity.py`` —
-a batched lane must reproduce the digests captured from the unfused
-path before any optimization tier existed.
-
-CI runs this file twice — once normally and once with
-``REPRO_NO_NUMPY=1`` — so the serial-fallback leg is exercised for real.
+``ExecPolicy.batch`` sends that many trials to one pool task, which runs
+them one after another.  A trial's result must not depend on which chunk
+it landed in or which worker ran it: a pooled, chunked campaign returns
+exactly the serial values, in trial order.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from tests._parity import _h, _machine_digest
-
-from repro.check import batch_vs_serial
-from repro.check.fuzz import FuzzConfig
-from repro.config import cloud_run_noise, no_noise, skylake_sp_small
-from repro.core.context import AttackerContext
-from repro.core.evset.candidates import build_candidate_set
-from repro.core.evset.primitives import EvictionTester
-from repro.exec import Campaign, ExecPolicy, run_campaign
+from repro.exec import ExecPolicy, run_campaign
 from repro.fleet.campaigns import NoiseWindowConfig, noise_mc_campaign
-from repro.memsys import (
-    BatchLaneKernels,
-    BatchSession,
-    batch_disabled,
-    batch_supported,
-    run_batched,
-    stack_shared_planes,
-)
-from repro.memsys import batchplane as bpmod
-from repro.memsys.kernels import AttackKernels
-from repro.memsys.lanes import HAVE_NUMPY, LaneKernels
-from repro.memsys.machine import Machine
-
-from tests.test_lane_parity import (
-    GOLDEN_BATTERY_NOISY_SF,
-    GOLDEN_L2_CONSTRUCTION,
-    _l2_construction,
-    _tester_battery,
-)
-
-
-# --- Battery parity ---------------------------------------------------------
-
-
-def _battery_thunk(mode: str, noisy: bool):
-    return lambda: _tester_battery(mode, noisy, "lanes")
-
-
-MATRIX = [(mode, noisy) for mode in ("llc", "sf", "l2") for noisy in (False, True)]
-
-
-def test_battery_matrix_batched_bitwise_identical():
-    """llc/sf/l2 × quiet/noisy as ONE six-lane batch == six serial runs."""
-    serial = [_tester_battery(mode, noisy, "lanes") for mode, noisy in MATRIX]
-    outcomes = run_batched([_battery_thunk(mode, noisy) for mode, noisy in MATRIX])
-    assert [o.value for o in outcomes] == serial
-    assert all(o.ok for o in outcomes)
-
-
-def test_golden_fingerprints_inside_batch():
-    """A batched lane reproduces the pre-optimization golden digests."""
-    outcomes = run_batched([
-        _battery_thunk("sf", True),
-        lambda: _l2_construction("lanes"),
-        _battery_thunk("llc", False),  # batch-mate: divergent control flow
-    ])
-    assert _h(outcomes[0].value) == GOLDEN_BATTERY_NOISY_SF
-    assert _h(outcomes[1].value) == GOLDEN_L2_CONSTRUCTION
-
-
-def test_divergent_pool_sizes_in_one_batch():
-    """Structurally divergent trials (different candidate-set sizes and
-    batteries) must still be lane-exact: no trial sees its batch-mates."""
-
-    def run(size: int, prefix: int):
-        noise = cloud_run_noise() if size % 2 else no_noise()
-        machine = Machine(skylake_sp_small(), noise=noise, seed=size)
-        ctx = AttackerContext(machine, seed=7)
-        ctx.calibrate()
-        cand = build_candidate_set(ctx, 0x140, size=size)
-        tester = EvictionTester(ctx, mode="sf", parallel=True)
-        verdicts = [tester.test(cand.vas[0], cand.vas[1:], n)
-                    for n in range(2, prefix)]
-        return {"verdicts": verdicts, **_machine_digest(machine)}
-
-    cases = [(12, 8), (40, 24), (26, 5), (33, 30)]
-    serial = [run(size, prefix) for size, prefix in cases]
-    outcomes = run_batched([
-        (lambda s=size, p=prefix: run(s, p)) for size, prefix in cases
-    ])
-    assert [o.value for o in outcomes] == serial
-
-
-# --- Stacked planes ---------------------------------------------------------
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="stacked planes need NumPy")
-def test_stacked_planes_match_serial_machines():
-    """The (N, sets, ways) stacked view of batched machines equals the
-    stack built from serial runs of the same trials — a stronger parity
-    surface than the digest (elementwise tags/owners/policy state)."""
-
-    def run(seed: int) -> Machine:
-        machine = Machine(skylake_sp_small(), noise=cloud_run_noise(), seed=seed)
-        ctx = AttackerContext(machine, seed=seed + 1)
-        ctx.calibrate()
-        cand = build_candidate_set(ctx, 0x240, size=20)
-        tester = EvictionTester(ctx, mode="sf", parallel=True)
-        tester.test(cand.vas[0], cand.vas[1:], 16)
-        return machine
-
-    seeds = [3, 4, 5]
-    serial_stack = stack_shared_planes([run(s) for s in seeds])
-    session = BatchSession([(lambda s=s: run(s)) for s in seeds])
-    batch_stack = stack_shared_planes([o.value for o in session.run()])
-    assert set(serial_stack) == set(batch_stack) and serial_stack
-    for level, planes in serial_stack.items():
-        for name, arr in planes.items():
-            assert (arr == batch_stack[level][name]).all(), (level, name)
-
-
-# --- Resolution / fallback matrix -------------------------------------------
-
-
-def test_batch_lane_kernels_resolved_on_lane_threads():
-    if not batch_supported():
-        pytest.skip("batching unsupported (no NumPy)")
-
-    def probe():
-        machine = Machine(skylake_sp_small(), noise=no_noise(), seed=4)
-        ctx = AttackerContext(machine, seed=1)
-        tester = EvictionTester(ctx, mode="l2")
-        return type(tester._kernels())
-
-    outcomes = BatchSession([probe, probe]).run()
-    assert [o.value for o in outcomes] == [BatchLaneKernels, BatchLaneKernels]
-    # Off a lane thread the resolution stays the plain LaneKernels.
-    assert probe() is LaneKernels
-
-
-def test_run_batched_serial_fallback_paths():
-    """batch<2, batch_disabled(), and no-NumPy all degrade to a serial
-    loop with identical outcomes."""
-    calls = []
-
-    def make(i):
-        def thunk():
-            calls.append(i)
-            return i * 10
-        return thunk
-
-    assert [o.value for o in run_batched([make(0)])] == [0]
-    with batch_disabled():
-        assert not batch_supported()
-        outcomes = run_batched([make(1), make(2)])
-    assert [o.value for o in outcomes] == [10, 20]
-    assert calls == [0, 1, 2]
-
-
-def test_no_numpy_resolution_without_numpy():
-    """With NumPy genuinely absent (REPRO_NO_NUMPY leg) batching must
-    report unsupported and lane resolution must stay on AttackKernels."""
-    if HAVE_NUMPY:
-        pytest.skip("NumPy available; the CI REPRO_NO_NUMPY step covers this")
-    assert not batch_supported()
-
-    def probe():
-        machine = Machine(skylake_sp_small(), noise=no_noise(), seed=4)
-        ctx = AttackerContext(machine, seed=1)
-        return type(EvictionTester(ctx, mode="l2")._kernels())
-
-    assert [o.value for o in run_batched([probe, probe])] == [
-        AttackKernels, AttackKernels,
-    ]
-
-
-def test_batch_exception_isolation():
-    """A lane raising must not disturb its batch-mates' results."""
-
-    def good():
-        return _tester_battery("l2", False, "lanes")
-
-    def bad():
-        raise ValueError("lane exploded")
-
-    serial = good()
-    outcomes = run_batched([good, bad, good])
-    assert outcomes[0].value == serial and outcomes[2].value == serial
-    assert not outcomes[1].ok and isinstance(outcomes[1].error, ValueError)
-
-
-# --- Fuzz differ ------------------------------------------------------------
-
-
-def test_batchdiff_clean_including_partitions():
-    cfg = FuzzConfig(machine="tiny", noise="mix", partition="always", n_ops=6)
-    summary = batch_vs_serial(cfg, range(8), batch=3)
-    assert summary["ok"], summary
-    assert summary["seeds"] == 8 and summary["checks"] > 0
-
-
-def test_batchdiff_rejects_degenerate_batch():
-    with pytest.raises(ValueError):
-        batch_vs_serial(FuzzConfig(), range(4), batch=1)
-
-
-# --- Exec / campaign integration --------------------------------------------
 
 
 def _noise_campaign(trials=48):
@@ -224,82 +20,9 @@ def _noise_campaign(trials=48):
     )
 
 
-def test_run_campaign_batch_matches_serial():
-    serial = run_campaign(_noise_campaign(), ExecPolicy(jobs=1))
-    batched = run_campaign(_noise_campaign(), ExecPolicy(jobs=1, batch=16))
-    assert [r.value for r in batched.records] == [r.value for r in serial.records]
-    assert all(r.ok for r in batched.records)
-
-
 @pytest.mark.slow
 def test_run_campaign_pool_batch_matches_serial():
     serial = run_campaign(_noise_campaign(), ExecPolicy(jobs=1))
     pooled = run_campaign(_noise_campaign(), ExecPolicy(jobs=2, batch=8))
     assert [r.value for r in pooled.records] == [r.value for r in serial.records]
-
-
-def test_run_campaign_batch_failure_parity():
-    def trial(cfg, seed):
-        if seed % 3 == 1:
-            raise RuntimeError(f"boom {seed}")
-        return seed
-
-    campaign = Campaign.build("flaky", trial, None, trials=9, base_seed=0)
-    serial = run_campaign(campaign, ExecPolicy(jobs=1))
-    batched = run_campaign(campaign, ExecPolicy(jobs=1, batch=4))
-    assert [(r.status, r.value, r.error) for r in batched.records] == [
-        (r.status, r.value, r.error) for r in serial.records
-    ]
-
-
-def test_batch_forced_serial_under_timeout():
-    campaign = _noise_campaign(trials=8)
-    result = run_campaign(campaign, ExecPolicy(jobs=1, batch=4, timeout_s=30.0))
-    serial = run_campaign(campaign, ExecPolicy(jobs=1))
-    assert [r.value for r in result.records] == [r.value for r in serial.records]
-
-
-def test_resolved_batch_env(monkeypatch):
-    assert ExecPolicy().resolved_batch() == 1
-    assert ExecPolicy(batch=16).resolved_batch() == 16
-    monkeypatch.setenv("REPRO_BATCH", "8")
-    assert ExecPolicy().resolved_batch() == 8
-    assert ExecPolicy(batch=2).resolved_batch() == 2
-    with pytest.raises(ValueError):
-        ExecPolicy(batch=0).resolved_batch()
-
-
-def test_batch_journal_resume(tmp_path):
-    from repro.exec import CampaignJournal
-
-    campaign = _noise_campaign(trials=24)
-    journal = CampaignJournal(tmp_path, campaign)
-    first = run_campaign(campaign, ExecPolicy(jobs=1, batch=8), journal=journal)
-    journal = CampaignJournal(tmp_path, campaign)
-    second = run_campaign(campaign, ExecPolicy(jobs=1, batch=8), journal=journal)
-    assert all(r.cached for r in second.records)
-    assert [r.value for r in second.records] == [r.value for r in first.records]
-
-
-def test_rendezvous_stats_observable():
-    """A construction batch actually parks planned ops (the tier is not
-    silently bypassing the rendezvous)."""
-    if not batch_supported():
-        pytest.skip("batching unsupported (no NumPy)")
-
-    def run(seed):
-        machine = Machine(skylake_sp_small(), noise=no_noise(), seed=seed)
-        ctx = AttackerContext(machine, seed=seed)
-        ctx.calibrate()
-        cand = build_candidate_set(ctx, 0x140, size=24)
-        tester = EvictionTester(ctx, mode="sf", parallel=True)
-        return tester.test(cand.vas[0], cand.vas[1:], 20)
-
-    session = BatchSession([(lambda s=s: run(s)) for s in (1, 2)])
-    session.run()
-    assert session.parked_ops > 0 and session.rounds > 0
-    assert session.peak_group <= 2
-
-
-def test_batch_enabled_by_default():
-    assert bpmod.BATCH_ENABLED
+    assert all(r.ok for r in pooled.records)
