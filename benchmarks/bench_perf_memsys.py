@@ -1,7 +1,7 @@
-"""Simulator throughput — reference vs. flat plane vs. kernels vs. lanes.
+"""Simulator throughput — reference vs. flat plane vs. kernels vs. vec.
 
 Not a paper artifact: this benchmark tracks the performance of the
-simulator itself across its four generations of hot path:
+simulator itself across its three generations of hot path:
 
 * **reference** — the seed dict-of-sets cache preserved in
   :mod:`repro.memsys._reference`, swapped into the hierarchy, driven with
@@ -11,31 +11,27 @@ simulator itself across its four generations of hot path:
   the ``same_shared_set`` batched Machine APIs, fused kernels disabled
   (:func:`repro.memsys.kernels_disabled`);
 * **kernels** — the same flat plane driven through the fused attack
-  kernels and the translation plane (DESIGN.md §2.3), lanes disabled
-  (:func:`repro.memsys.lanes_disabled`);
-* **lanes** — the plan-specialized lane kernels (DESIGN.md §2.4), the
-  default path when NumPy is available;
-* **vec** — the memo-replay vectorized lane path (DESIGN.md §2.7),
-  legal only under the event-keyed RNG contract (``rng_mode="counter"``):
-  monitor rounds whose pre-state was seen before replay as slice
-  assignments instead of re-simulating, bit-identical to the lanes path
-  on the same counter-mode machine (asserted in-bench by digest);
+  kernels and the translation plane (DESIGN.md §2.3), the default path
+  under the serial RNG contract;
+* **vec** — the memo-replay kernels (DESIGN.md §2.7), legal only under
+  the event-keyed RNG contract (``rng_mode="counter"``): monitor rounds
+  whose pre-state was seen before replay as slice assignments instead
+  of re-simulating, bit-identical to the plain kernels on the same
+  counter-mode machine (asserted in-bench by digest);
 * **batch** — chunked dispatch (DESIGN.md §2.6), measured at the
   campaign level: microsecond trials sent to the pool one per task vs.
   16 per task.
 
 All serial-mode paths run the same workloads and — because the kernels
-and lanes are bit-identical by construction — must produce the same
-eviction sets; the sanity asserts at the bottom enforce that.  The vec
-stage runs under the counter contract, so its outcomes are compared
-against a counter-mode lanes control machine instead.  Perf smokes gate
-CI: the fused path must not regress below the batched one on the
-monitor loop, the lane path must not regress below the plain kernels on
-constructions/sec, and the vec path must deliver >= 1.5x lanes
-accesses/sec.
+are bit-identical by construction — must produce the same eviction sets;
+the sanity asserts at the bottom enforce that.  The vec stage runs under
+the counter contract, so its outcomes are compared against a
+counter-mode kernels control machine instead.  Perf smokes gate CI: the
+fused path must not regress below the batched one on the monitor loop,
+and the vec path must deliver >= 1.5x kernels accesses/sec.
 
 ``--stages`` selects a comma-separated subset (``ref``/``reference``,
-``batched``, ``kernels``, ``lanes``, ``vec``, ``batch``) so CI quick
+``batched``, ``kernels``, ``vec``, ``batch``, ``construct``) so CI quick
 runs can gate only the stages they care about; cross-stage asserts and
 history updates apply only to what was measured.  Every history entry
 records ``quick``, ``host`` and ``python`` so appended entries stay
@@ -46,10 +42,9 @@ Workloads:
 * accesses/sec through the Prime+Probe monitor hot loop (prime + probe
   traversals of a ways-sized SF-congruent eviction set, interleaved
   best-of-N against host noise),
-* SF eviction-set constructions/sec (BinS with candidate filtering) —
-  the workload the lane plane targets (flush + post-flush sweeps),
+* SF eviction-set constructions/sec (BinS with candidate filtering),
 * one end-to-end trial (bulk construction + Parallel Probing monitor),
-* a cProfile breakdown (top-10 by cumulative time) of lane-path
+* a cProfile breakdown (top-10 by cumulative time) of kernel-path
   eviction-set construction, so the next optimization round starts from
   data.
 
@@ -95,13 +90,10 @@ from repro.core.evset import (
 )
 from repro.core.monitor import ParallelProbing, monitor_set
 from repro.memsys import (
-    HAVE_NUMPY,
     AttackKernels,
-    LaneKernels,
     TranslationPlane,
     VecKernels,
     kernels_disabled,
-    lanes_disabled,
 )
 from repro.memsys._reference import ReferenceSetAssociativeCache
 from repro.memsys.cache import SetAssociativeCache
@@ -109,8 +101,8 @@ from repro.memsys.machine import Machine
 
 PAGE_OFFSET = 0x2C0
 
-#: The four serial-mode hot-path generations, oldest first.
-STAGES = ("reference", "batched", "kernels", "lanes")
+#: The three serial-mode hot-path generations, oldest first.
+STAGES = ("reference", "batched", "kernels")
 
 #: Everything ``--stages`` can select (the serial paths plus the
 #: counter-mode vec path, campaign-level chunked dispatch, and the
@@ -153,9 +145,7 @@ def _path_guard(path: str):
     """Pin one hot-path generation for the duration of a workload."""
     if path in ("reference", "batched"):
         return kernels_disabled()
-    if path == "kernels":
-        return lanes_disabled()
-    return nullcontext()  # lanes: the default resolution
+    return nullcontext()  # kernels: the default resolution
 
 
 # --- Monitor hot loop -------------------------------------------------------
@@ -238,14 +228,12 @@ def _bench_accesses(quick: bool, hot, want_vec: bool):
 
     Shared/burst-throttled hosts swing throughput by 2x over minutes;
     interleaving the implementations round-robin and taking each side's
-    best round keeps the ratios honest under that noise.  The lane bundle
-    inherits the monitor kernels unchanged (resident-line walks have
-    nothing provably dead), so its column doubles as an overhead check.
+    best round keeps the ratios honest under that noise.
 
     ``want_vec`` adds two counter-mode machines: the vec path under
-    measurement and a lanes control running the identical workload; their
-    machine digests must match at the end (replay parity, asserted here
-    so the perf number can never outrun correctness).
+    measurement and a plain-kernels control running the identical
+    workload; their machine digests must match at the end (replay parity,
+    asserted here so the perf number can never outrun correctness).
     """
     rounds = 2 if quick else 4
     reps = 40 if quick else 300
@@ -262,12 +250,11 @@ def _bench_accesses(quick: bool, hot, want_vec: bool):
                 _accesses_round(m, e, b, reps)
             )
         else:
-            kcls = AttackKernels if stage == "kernels" else LaneKernels
             machines[stage], evsets[stage], runners[stage] = (
-                _kernels_runner(kcls)
+                _kernels_runner(AttackKernels)
             )
     if want_vec:
-        for name, kcls in (("lanes_counter", LaneKernels),
+        for name, kcls in (("kernels_counter", AttackKernels),
                            ("vec", VecKernels)):
             machines[name], evsets[name], runners[name] = (
                 _kernels_runner(kcls, rng_mode="counter")
@@ -281,8 +268,8 @@ def _bench_accesses(quick: bool, hot, want_vec: bool):
             best[name] = max(best[name], runner(reps))
     if want_vec:
         assert (machine_digest(machines["vec"])
-                == machine_digest(machines["lanes_counter"])), (
-            "parity violation: vec replay diverged from counter-mode lanes"
+                == machine_digest(machines["kernels_counter"])), (
+            "parity violation: vec replay diverged from counter-mode kernels"
         )
     return best, machines
 
@@ -304,8 +291,8 @@ def _bench_evsets(quick: bool, hot):
     so the same candidate pool and targets), and the trials run
     *interleaved* round-robin across stages: on burst-throttled hosts a
     sequential per-stage run can attribute a 30% host-wide slowdown to
-    whichever stage ran last, which is exactly the noise the lane-vs-
-    kernel perf gate must not be subject to.
+    whichever stage ran last, which is exactly the noise the cross-stage
+    comparisons must not be subject to.
     """
     trials = 2 if quick else 6
     envs = {}
@@ -524,12 +511,11 @@ def _bench_construct(quick: bool):
 
 
 def _profile_construction(quick: bool):
-    """cProfile top-10 (cumulative) of lane-path eviction-set construction.
+    """cProfile top-10 (cumulative) of kernel-path eviction-set construction.
 
-    The Amdahl accounting that motivated the kernel and lane layers:
-    after each optimization round, the next bottleneck is whatever tops
-    this list.  Profiles the default resolution — the lane plane when
-    NumPy is available, the plain kernels otherwise.
+    The Amdahl accounting that motivated the kernel layer: after each
+    optimization round, the next bottleneck is whatever tops this list.
+    Profiles the default resolution (the fused kernels).
     """
     with _cache_impl(SetAssociativeCache):
         machine, ctx = make_env("cloud", seed=13)
@@ -559,7 +545,7 @@ def _profile_construction(quick: bool):
         if len(rows) == 10:
             break
     return {
-        "path": "lanes" if HAVE_NUMPY else "kernels",
+        "path": "kernels",
         "total_time_s": round(total, 4),
         "top10_cumulative": rows,
     }
@@ -642,12 +628,11 @@ def run_perf(
 ) -> dict:
     sel = resolve_stages(stages)
     hot = [s for s in STAGES if s in sel]
-    want_vec = "vec" in sel and HAVE_NUMPY
+    want_vec = "vec" in sel
     want_batch = "batch" in sel
-    want_construct = "construct" in sel and HAVE_NUMPY
+    want_construct = "construct" in sel
     print_header(
-        "Simulator throughput: reference vs. flat plane vs. kernels vs. "
-        "lanes vs. vec",
+        "Simulator throughput: reference vs. flat plane vs. kernels vs. vec",
         "Infrastructure benchmark (DESIGN.md 2.2-2.7), not a paper artifact.",
     )
     best_acc, acc_machines = (
@@ -660,7 +645,7 @@ def run_perf(
     for stage in hot:
         results[stage], machine = _measure(quick, stage, ev_results)
         results[stage]["accesses_per_sec"] = best_acc[stage]
-        if stage == "lanes":
+        if stage == "kernels":
             trial_machine = machine
 
     vec_results = None
@@ -668,14 +653,14 @@ def run_perf(
         vec_results = {
             "rng_mode": "counter",
             "accesses_per_sec": best_acc["vec"],
-            "counter_lanes_accesses_per_sec": best_acc["lanes_counter"],
-            "speedup_vs_counter_lanes": (
-                best_acc["vec"] / best_acc["lanes_counter"]
+            "counter_kernels_accesses_per_sec": best_acc["kernels_counter"],
+            "speedup_vs_counter_kernels": (
+                best_acc["vec"] / best_acc["kernels_counter"]
             ),
         }
-        if "lanes" in results:
-            vec_results["speedup_vs_lanes"] = (
-                best_acc["vec"] / results["lanes"]["accesses_per_sec"]
+        if "kernels" in results:
+            vec_results["speedup_vs_kernels"] = (
+                best_acc["vec"] / results["kernels"]["accesses_per_sec"]
             )
 
     def ratio(new, old):
@@ -686,11 +671,10 @@ def run_perf(
         }
 
     full_serial = all(s in results for s in STAGES)
-    speedup = kernel_speedup = lane_speedup = None
+    speedup = kernel_speedup = None
     if full_serial:
         speedup = ratio(results["batched"], results["reference"])
         kernel_speedup = ratio(results["kernels"], results["batched"])
-        lane_speedup = ratio(results["lanes"], results["kernels"])
 
     names = hot + (["vec"] if want_vec else [])
     if names:
@@ -713,11 +697,11 @@ def run_perf(
         table.print()
         if want_vec:
             base = vec_results.get(
-                "speedup_vs_lanes", vec_results["speedup_vs_counter_lanes"]
+                "speedup_vs_kernels", vec_results["speedup_vs_counter_kernels"]
             )
             print(
                 f"vec (rng=counter): {best_acc['vec']:,.0f} accesses/sec "
-                f"= {base:.2f}x lanes"
+                f"= {base:.2f}x kernels"
             )
 
     batch_results = None
@@ -806,15 +790,13 @@ def run_perf(
                 "before": results["reference"],
                 "after": results["batched"],
                 "kernels": results["kernels"],
-                "lanes": results["lanes"],
                 "speedup": speedup,
                 "kernel_speedup": kernel_speedup,
-                "lane_speedup": lane_speedup,
             }
         )
     else:
-        for key in ("before", "after", "kernels", "lanes", "speedup",
-                    "kernel_speedup", "lane_speedup"):
+        for key in ("before", "after", "kernels", "speedup",
+                    "kernel_speedup"):
             if key in old_payload:
                 payload[key] = old_payload[key]
     if vec_results is not None:
@@ -834,10 +816,10 @@ def run_perf(
 
     # Sanity checks.  Cross-implementation speedups carry no threshold
     # (CI runners are too noisy), but all measured serial-mode paths
-    # must agree on every *outcome* — the kernels and lanes are
-    # bit-identical by contract.  (The vec stage runs under the counter
-    # contract; its parity is asserted against the counter-mode lanes
-    # control inside _bench_accesses.)
+    # must agree on every *outcome* — the kernels are bit-identical by
+    # contract.  (The vec stage runs under the counter contract; its
+    # parity is asserted against the counter-mode kernels control inside
+    # _bench_accesses.)
     for metrics in results.values():
         assert metrics["accesses_per_sec"] > 0
         assert math.isfinite(metrics["trial_seconds"])
@@ -857,24 +839,15 @@ def run_perf(
             f"{results['kernels']['accesses_per_sec']:,.0f} vs "
             f"{results['batched']['accesses_per_sec']:,.0f} accesses/sec"
         )
-    # Lane perf smoke: the specialized sweeps must not fall behind the
-    # plain kernels on the construction workload they target.
-    if HAVE_NUMPY and "lanes" in results and "kernels" in results:
-        assert (results["lanes"]["evsets_per_sec"]
-                >= 1.0 * results["kernels"]["evsets_per_sec"]), (
-            f"lane plane slower than plain kernels on constructions: "
-            f"{results['lanes']['evsets_per_sec']:.2f} vs "
-            f"{results['kernels']['evsets_per_sec']:.2f} evsets/sec"
-        )
-    # Vec perf gate (PR 8): memo-replay must deliver >= 1.5x lanes on the
-    # monitor loop even in quick mode (full runs measure ~2.5x; 1.5
+    # Vec perf gate: memo-replay must deliver >= 1.5x kernels on
+    # the monitor loop even in quick mode (full runs measure ~2.5x; 1.5
     # absorbs cold-memo and CI noise).
     if vec_results is not None:
         vec_base = vec_results.get(
-            "speedup_vs_lanes", vec_results["speedup_vs_counter_lanes"]
+            "speedup_vs_kernels", vec_results["speedup_vs_counter_kernels"]
         )
         assert vec_base >= 1.5, (
-            f"vec stage below 1.5x lanes accesses/sec: {vec_base:.2f}x"
+            f"vec stage below 1.5x kernels accesses/sec: {vec_base:.2f}x"
         )
     # Batch perf smoke: chunked dispatch must beat per-trial dispatch on
     # micro-trial campaign throughput (measured ~6x at batch=16; 1.5
@@ -885,13 +858,13 @@ def run_perf(
             f"{batch_results['dispatch_speedup']:.2f}x"
         )
     # Construct perf gate (PR 9): the checkpoint + construct-memo repeat
-    # path must beat the PR-8 counter-mode lanes baseline on repeated
+    # path must beat the fresh-build live baseline on repeated
     # constructions.  Full runs measure ~2.4x; quick mode still pays a
     # partially cold memo, so CI gates at 1.3x and full runs at 1.8x.
     if construct_results is not None:
         floor = 1.3 if quick else 1.8
         assert construct_results["memo_speedup"] >= floor, (
-            f"construct stage below {floor}x lanes baseline: "
+            f"construct stage below {floor}x live baseline: "
             f"{construct_results['memo_speedup']:.2f}x"
         )
     out = {}
@@ -902,15 +875,12 @@ def run_perf(
                 "evsets_speedup": speedup["evsets_per_sec"],
                 "trial_speedup": speedup["trial_seconds"],
                 "kernel_evsets_speedup": kernel_speedup["evsets_per_sec"],
-                "lane_evsets_speedup": lane_speedup["evsets_per_sec"],
-                "lane_trial_speedup": lane_speedup["trial_seconds"],
-                "lane_evsets_per_sec": results["lanes"]["evsets_per_sec"],
             }
         )
     if vec_results is not None:
         out["vec_accesses_per_sec"] = vec_results["accesses_per_sec"]
         out["vec_speedup"] = vec_results.get(
-            "speedup_vs_lanes", vec_results["speedup_vs_counter_lanes"]
+            "speedup_vs_kernels", vec_results["speedup_vs_counter_kernels"]
         )
     if construct_results is not None:
         out["construct_memo_speedup"] = construct_results["memo_speedup"]

@@ -70,104 +70,6 @@ def poisson(rng: random.Random, lam: float) -> int:
         k += 1
 
 
-def poisson_many(rng, lams: Sequence[float]) -> List[int]:
-    """Bulk Poisson draws, one per mean in ``lams``.
-
-    Two source kinds (shared by both RNG modes):
-
-    * a ``random.Random`` — draws are performed strictly in order,
-      consuming the stream exactly as ``len(lams)`` sequential
-      :func:`poisson` calls would (the serial-order contract holds;
-      bulk uniform generation would reorder the stream, so there is
-      deliberately no numpy fast path here);
-    * a callable ``uniforms(n) -> sequence of n floats in (0, 1)`` with
-      no ordering contract (e.g. a keyed counter-RNG adapter) — the
-      Knuth loop is vectorized column-wise with numpy when available
-      (one uniform column per iteration over the still-active lanes),
-      with a scalar fallback otherwise.
-
-    Large means (> 64) use the same normal approximation as
-    :func:`poisson`, consuming two uniforms per draw (Box-Muller).
-    Keyed callers that need draw-for-draw parity with scalar keyed
-    draws should use :meth:`repro.rng.CounterRng.noise_poisson_many`
-    instead — this helper only promises the right *distribution* for
-    callable sources, not a pinned uniform-consumption order.
-    """
-    if isinstance(rng, random.Random):
-        return [poisson(rng, lam) for lam in lams]
-    if not callable(rng):
-        raise TypeError(
-            "poisson_many needs a random.Random or a uniforms(n) callable"
-        )
-    np = _numpy()
-    n = len(lams)
-    if np is None or n < 8:
-        return [_poisson_from_uniforms(rng, lam) for lam in lams]
-    lam_arr = np.asarray(lams, dtype=np.float64)
-    out = np.zeros(n, dtype=np.int64)
-    big = lam_arr > 64.0
-    if big.any():
-        for j in np.nonzero(big)[0]:
-            u1, u2 = rng(2)
-            z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-            lam = float(lam_arr[j])
-            out[j] = max(0, int(round(lam + math.sqrt(lam) * z)))
-    active = np.nonzero(~big & (lam_arr > 0.0))[0]
-    if active.size:
-        threshold = np.exp(-lam_arr[active])
-        p = np.ones(active.size, dtype=np.float64)
-        k = np.zeros(active.size, dtype=np.int64)
-        live = np.arange(active.size)
-        while live.size:
-            u = np.asarray(rng(live.size), dtype=np.float64)
-            p[live] = p[live] * u
-            done = p[live] <= threshold[live]
-            k[live[~done]] += 1
-            live = live[~done]
-        out[active] = k
-    return out.tolist()
-
-
-def _poisson_from_uniforms(uniforms, lam: float) -> int:
-    """Scalar Knuth/normal Poisson over a bulk-uniform callable."""
-    if lam <= 0.0:
-        return 0
-    if lam > 64.0:
-        u1, u2 = uniforms(2)
-        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        return max(0, int(round(lam + math.sqrt(lam) * z)))
-    threshold = math.exp(-lam)
-    k = 0
-    p = 1.0
-    while True:
-        p *= uniforms(1)[0]
-        if p <= threshold:
-            return k
-        k += 1
-
-
-def _numpy():
-    """The numpy module, or None (import deferred; REPRO_NO_NUMPY honored)."""
-    global _np_mod
-    if _np_mod is _NP_UNSET:
-        import os
-
-        if os.environ.get("REPRO_NO_NUMPY"):
-            _np_mod = None
-        else:
-            try:
-                import numpy
-
-                _np_mod = numpy
-            except ImportError:  # pragma: no cover - via REPRO_NO_NUMPY leg
-                _np_mod = None
-    return _np_mod
-
-
-_NP_UNSET = object()
-_np_mod = _NP_UNSET
-
-
 def exponential(rng: random.Random, rate: float) -> float:
     """Draw an exponential inter-arrival time for a Poisson process."""
     if rate <= 0.0:

@@ -1,8 +1,7 @@
-"""repro.check — correctness tooling for the four execution tiers.
+"""repro.check — correctness tooling for the three execution tiers.
 
-The optimization PRs (data plane, kernels, lanes) all promise
-bit-identical trials; this package *enforces* the promise instead of
-sampling it:
+The optimized tiers (data plane, kernels) all promise bit-identical
+trials; this package *enforces* the promise instead of sampling it:
 
 * :mod:`repro.check.digest` — the canonical machine-state digest shared
   with the parity suites, plus the recursive diff used as fuzz oracle.
@@ -10,7 +9,7 @@ sampling it:
   (``_where`` index consistency, SF/LLC exclusivity, policy-state bounds,
   noise-clock monotonicity), installable as a per-access debug hook.
 * :mod:`repro.check.fuzz` — seeded attack-shaped traces replayed on all
-  four tiers and diffed (``python -m repro fuzz``).
+  three tiers and diffed (``python -m repro fuzz``).
 * :mod:`repro.check.shrink` — ddmin reduction of diverging traces.
 * :mod:`repro.check.selftest` — a deliberate replacement-policy mutation
   proving the harness catches seeded faults.

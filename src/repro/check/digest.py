@@ -1,7 +1,7 @@
 """Canonical machine-state digests and the recursive diff used as oracle.
 
 The parity suites (``tests/test_dataplane_parity.py``,
-``tests/test_kernel_parity.py``, ``tests/test_lane_parity.py``) and the
+``tests/test_kernel_parity.py``, ``tests/test_counter_parity.py``) and the
 differential fuzzer all collapse a machine's observable state to the same
 dict — simulated clock, hierarchy stats, noise event count, and a hash of
 every RNG stream's full ``getstate()`` — so a single digest comparison
@@ -78,8 +78,8 @@ def plane_digest(machine) -> str:
     Unlike :func:`machine_digest`, this shape is *not* golden-pinned; it
     serves the snapshot round-trip suites and
     :func:`assert_digest_memo_blind`.  Like every digest it is blind to
-    accelerator caches (translation memos, lane plans, monitor-round
-    geometry, construct-test recordings, checkpoint stores): those are
+    accelerator caches (translation memos, monitor-round geometry,
+    construct-test recordings, checkpoint stores): those are
     derived state, never observable.
     """
     from ..memsys._reference import ReferenceSetAssociativeCache
@@ -138,8 +138,8 @@ def assert_digest_memo_blind(machine, ctx=None) -> None:
 
     Takes a throwaway :func:`repro.memsys.snapshot.checkpoint` and drops
     every accelerator cache reachable from ``ctx`` (translation memos,
-    lane plans, vectorized monitor-round geometry, construct-test
-    recordings — via ``invalidate_translations``), then asserts that
+    vectorized monitor-round geometry, construct-test recordings — via
+    ``invalidate_translations``), then asserts that
     neither :func:`machine_digest` nor :func:`plane_digest` moved.  The
     golden fingerprints depend on this blindness: a digest that folded in
     warm-up state would differ between a cold and a memo-warm run of the

@@ -1,10 +1,11 @@
-"""Differential trace fuzzing across the four execution tiers.
+"""Differential trace fuzzing across the three execution tiers.
 
-The repository stacks four execution tiers that all promise bit-identical
+The repository stacks three execution tiers that all promise bit-identical
 trials: the seed *reference* simulator (``repro.memsys._reference``), the
-flat *batched* data plane (§2.2), the fused *kernels* (§2.3), and the
-numpy-planned *lanes* (§2.4).  The parity suites pin a handful of
-hand-picked scenarios; this module *searches* for divergence instead:
+flat *batched* data plane (§2.2), and the fused *kernels* (§2.3; on
+counter-RNG traces that is the memo-replay ``VecKernels`` bundle, §2.7).
+The parity suites pin a handful of hand-picked scenarios; this module
+*searches* for divergence instead:
 
 1. :func:`generate_trace` derives, from one seed, an attack-shaped
    operation schedule (calibrate, candidate building, ``TestEviction``
@@ -13,12 +14,11 @@ hand-picked scenarios; this module *searches* for divergence instead:
    soft copy, with epoch-rekey ops), machine checkpoint/restore
    via :mod:`repro.memsys.snapshot`) over a small machine.
 2. :func:`run_trace` replays the trace on one tier — the tier guards are
-   the product ones (``kernels_disabled()`` / ``lanes_disabled()`` / the
-   reference-cache class swap), honoring ``REPRO_NO_NUMPY`` — recording
-   every op's observable result plus the final machine digest, with the
-   invariant checker (:mod:`repro.check.invariants`) validating state
-   after every hierarchy call and every op.
-3. :func:`run_tiers` diffs the three optimized tiers against the
+   the product ones (``kernels_disabled()`` / the reference-cache class
+   swap) — recording every op's observable result plus the final machine
+   digest, with the invariant checker (:mod:`repro.check.invariants`)
+   validating state after every hierarchy call and every op.
+3. :func:`run_tiers` diffs the two optimized tiers against the
    reference records with :func:`repro.check.digest.diff_keys`.
 
 :func:`fuzz_trial` is the picklable ``(config, seed)`` unit that
@@ -47,15 +47,15 @@ from ..defenses import DEFENSE_NAMES, apply_defense, apply_way_partitioning
 from ..defenses.partition import OTHER_DOMAIN
 from ..errors import ReproError
 from ..exec import Campaign, arithmetic_seeds
-from ..memsys import kernels_disabled, lanes_disabled
+from ..memsys import kernels_disabled
 from ..memsys.machine import Machine
 from ..memsys.snapshot import checkpoint, checkpoint_key, restore
 from ..rng import resolve_rng_mode
 from .digest import diff_keys, machine_digest, obj_digest
 from .invariants import InvariantChecker, InvariantViolation, invariant_hook
 
-#: The four execution tiers, in oracle order (index 0 is the reference).
-TIERS = ("reference", "batched", "kernels", "lanes")
+#: The three execution tiers, in oracle order (index 0 is the reference).
+TIERS = ("reference", "batched", "kernels")
 
 #: Where the CLI drops shrunk diverging-trace artifacts.
 DEFAULT_ARTIFACT_DIR = Path(".repro") / "fuzz"
@@ -287,15 +287,13 @@ def _tier_guard(tier: str):
 
     ``reference`` needs no runtime guard — the kernels disengage on the
     duck-typed oracle caches by themselves, which is part of what the
-    fuzzer validates.  ``lanes`` is the default resolution (and falls
-    back to the plain kernels under ``REPRO_NO_NUMPY``, still compared).
+    fuzzer validates.  ``kernels`` is the default resolution
+    (:meth:`~repro.core.context.AttackerContext.kernels`).
     """
     if tier not in TIERS:
         raise ReproError(f"unknown execution tier {tier!r}; choose from {TIERS}")
     if tier == "batched":
         return kernels_disabled()
-    if tier == "kernels":
-        return lanes_disabled()
     return contextlib.nullcontext()
 
 
@@ -532,7 +530,7 @@ def run_trace(
 def run_tiers(
     trace: Dict[str, Any], check_invariants: bool = True
 ) -> Dict[str, Any]:
-    """Replay on all four tiers and diff everything against the reference."""
+    """Replay on all three tiers and diff everything against the reference."""
     runs = {
         tier: run_trace(trace, tier, check_invariants=check_invariants)
         for tier in TIERS

@@ -262,7 +262,7 @@ def cmd_fleet(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    """Differential fuzz across the four execution tiers (repro.check)."""
+    """Differential fuzz across the three execution tiers (repro.check)."""
     from .check import (
         DEFAULT_ARTIFACT_DIR,
         FuzzConfig,
@@ -536,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "fuzz",
-        help="differential-fuzz the four execution tiers "
-        "(reference/batched/kernels/lanes) with invariant checking",
+        help="differential-fuzz the three execution tiers "
+        "(reference/batched/kernels) with invariant checking",
     )
     p.add_argument("--seeds", type=int, default=50,
                    help="number of traces (seed range is base..base+N-1)")

@@ -16,8 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .._util import make_rng, median, spawn_rng
 from ..config import LINE_BYTES, LINES_PER_PAGE, PAGE_BYTES
 from ..errors import ConfigurationError
+from ..memsys import kernels as kernelmod
 from ..memsys.kernels import AttackKernels, PlaneRows, TranslationPlane
-from ..memsys.lanes import LaneKernels
 from ..memsys.machine import Machine
 from ..memsys.vec import VecKernels
 
@@ -54,7 +54,6 @@ class AttackerContext:
         self._lines_memo: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self._plane = TranslationPlane(machine.hierarchy, self.line)
         self._kernels: Optional[AttackKernels] = None
-        self._lane_kernels: Optional[LaneKernels] = None
         self._pool: List[int] = []  # unused mapped pages
         # Thresholds start from the architectural defaults; calibrate()
         # replaces them with measured values.
@@ -113,45 +112,38 @@ class AttackerContext:
         """Eagerly warm the translation plane for a candidate pool."""
         self._plane.warm(vas)
 
-    def attack_kernels(self) -> AttackKernels:
-        """The fused kernel bundle bound to this context (lazy singleton)."""
+    def kernels(self) -> Optional[AttackKernels]:
+        """The machine's kernel bundle, or None for the unfused path.
+
+        One bundle per machine (a lazy singleton):
+        :class:`~repro.memsys.vec.VecKernels` on counter-RNG machines —
+        identical results, with monitor rounds and construction tests
+        memo-replayed (legal only under the event-keyed draw contract;
+        see DESIGN.md) — and :class:`AttackKernels` everywhere else.
+        None inside :func:`~repro.memsys.kernels_disabled` and whenever
+        the bundle does not engage (duck-typed or defended caches).
+        """
+        if not kernelmod.KERNELS_ENABLED:
+            return None
         kernels = self._kernels
         if kernels is None:
-            kernels = self._kernels = AttackKernels(
+            cls = (
+                VecKernels
+                if getattr(self.machine.hierarchy, "crng", None) is not None
+                else AttackKernels
+            )
+            kernels = self._kernels = cls(
                 self.machine, self._plane, self.main_core, self.helper_core
             )
-        return kernels
-
-    def lane_kernels(self) -> LaneKernels:
-        """The lane-specialized kernel bundle (lazy singleton).
-
-        On counter-RNG machines the bundle upgrades to
-        :class:`~repro.memsys.vec.VecKernels` — identical results, with
-        monitor rounds memo-replayed (legal only under the event-keyed
-        draw contract; see DESIGN.md).
-        """
-        kernels = self._lane_kernels
-        if kernels is None:
-            if getattr(self.machine.hierarchy, "crng", None) is not None:
-                kernels = VecKernels(
-                    self.machine, self._plane, self.main_core,
-                    self.helper_core,
-                )
-            else:
-                kernels = LaneKernels(
-                    self.machine, self._plane, self.main_core,
-                    self.helper_core,
-                )
-            self._lane_kernels = kernels
-        return kernels
+        return kernels if kernels.engaged() else None
 
     def invalidate_translations(self) -> None:
         """Drop all cached VA->line/geometry state (address-space change)."""
         self._lines.clear()
         self._lines_memo.clear()
         self._plane.invalidate()
-        if self._lane_kernels is not None:
-            self._lane_kernels.invalidate_plans()
+        if isinstance(self._kernels, VecKernels):
+            self._kernels.invalidate_memos()
 
     # -- Ground-truth inspection (experiment harness only, not attack logic) ----
 

@@ -26,8 +26,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ...errors import ConfigurationError
-from ...memsys import kernels as kernelmod
-from ...memsys import lanes as lanesmod
 from ...memsys.hierarchy import SHARED_OWNER
 from ..context import AttackerContext
 
@@ -83,19 +81,8 @@ class EvictionTester:
         self.traversed_addresses = 0
 
     def _kernels(self):
-        """The engaged kernel bundle, or None for the unfused path.
-
-        Prefers the lane-specialized bundle when NumPy is available and
-        lanes are enabled; otherwise the plain PR-3 kernels.
-        """
-        if not (self.use_kernels and kernelmod.KERNELS_ENABLED):
-            return None
-        if lanesmod.LANES_ENABLED and lanesmod.HAVE_NUMPY:
-            lanes = self.ctx.lane_kernels()
-            if lanes.engaged():
-                return lanes
-        kernels = self.ctx.attack_kernels()
-        return kernels if kernels.engaged() else None
+        """The context's kernel bundle, or None for the unfused path."""
+        return self.ctx.kernels() if self.use_kernels else None
 
     # -- State manipulation ------------------------------------------------------
 

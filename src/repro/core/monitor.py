@@ -27,8 +27,6 @@ from typing import List, Optional
 
 from .._util import mean, stddev
 from ..errors import ConfigurationError
-from ..memsys import kernels as kernelmod
-from ..memsys import lanes as lanesmod
 from .context import AttackerContext
 from .evset.types import EvictionSet
 from .traces import AccessTrace
@@ -55,21 +53,6 @@ class MonitorStrategy:
         self._lines = self._rows.lines
         self.prime_latencies: List[int] = []
         self.probe_latencies: List[int] = []
-
-    def _kernels(self):
-        """The engaged kernel bundle, or None for the unfused path.
-
-        Prefers the lane-specialized bundle when NumPy is available and
-        lanes are enabled; otherwise the plain PR-3 kernels.
-        """
-        if not kernelmod.KERNELS_ENABLED:
-            return None
-        if lanesmod.LANES_ENABLED and lanesmod.HAVE_NUMPY:
-            lanes = self.ctx.lane_kernels()
-            if lanes.engaged():
-                return lanes
-        kernels = self.ctx.attack_kernels()
-        return kernels if kernels.engaged() else None
 
     # -- Strategy interface -------------------------------------------------
 
@@ -173,7 +156,7 @@ class ParallelProbing(MonitorStrategy):
 
     def prime(self) -> int:
         ctx = self.ctx
-        kernels = self._kernels()
+        kernels = ctx.kernels()
         if kernels is not None:
             rows = self._rows
             elapsed = kernels.prime_probe_kernel(
@@ -196,7 +179,7 @@ class ParallelProbing(MonitorStrategy):
         # Its cost is not recorded in the prime/probe latency statistics.
         ctx = self.ctx
         machine = ctx.machine
-        kernels = self._kernels()
+        kernels = ctx.kernels()
         self._probes_since_scrub += 1
         if self.llc_scrub_period and self._probes_since_scrub >= self.llc_scrub_period:
             self._probes_since_scrub = 0
@@ -241,7 +224,7 @@ class PrimeScopeFlush(MonitorStrategy):
         ctx = self.ctx
         machine = ctx.machine
         lines = self._lines
-        kernels = self._kernels()
+        kernels = ctx.kernels()
         start = machine.now
         for _ in range(self.MAX_PRIME_TRIES):
             # Load everything, flush everything, then reload sequentially so

@@ -13,7 +13,6 @@ from .address import AddressSpace, line_address, page_offset
 from .cache import SetAssociativeCache
 from .hierarchy import CacheHierarchy, Level, NOISE_OWNER
 from .kernels import AttackKernels, PlaneRows, TranslationPlane, kernels_disabled
-from .lanes import HAVE_NUMPY, LaneKernels, lanes_disabled
 from .machine import Machine
 from .replacement import make_policy
 from .slice_hash import ComplexSliceHash, LinearSliceHash, make_slice_hash
@@ -25,8 +24,6 @@ __all__ = [
     "AttackKernels",
     "CacheHierarchy",
     "ComplexSliceHash",
-    "HAVE_NUMPY",
-    "LaneKernels",
     "Level",
     "LinearSliceHash",
     "Machine",
@@ -41,7 +38,6 @@ __all__ = [
     "construct_memo_disabled",
     "kernels_disabled",
     "restore",
-    "lanes_disabled",
     "vec_disabled",
     "line_address",
     "make_policy",

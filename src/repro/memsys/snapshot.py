@@ -20,7 +20,7 @@ draws a globally unique *flush epoch* (:data:`repro.memsys.cache._EPOCHS`)
 and an epoch mismatch downgrades that cache to a full plane rewrite.
 
 Checkpoints deliberately exclude pure memo caches (translation planes,
-lane plans, vec/construct memos, the ``CounterRng`` half-key memo): they
+vec/construct memos, the ``CounterRng`` half-key memo): they
 are derivable functions of state or of ``(seed, key)`` and restoring
 around them cannot change observable behavior.  The digest verification at
 restore is exactly the proof of that exclusion.

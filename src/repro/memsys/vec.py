@@ -1,7 +1,10 @@
-"""Memo-replay monitor rounds — the counter-RNG vectorized lane tier.
+"""Memo-replay kernels — the counter-RNG vec tier.
 
-:class:`VecKernels` extends :class:`~repro.memsys.lanes.LaneKernels` with a
-round-level memoization of ``_monitor_round``, the Prime+Probe hot loop.
+:class:`VecKernels` extends :class:`~repro.memsys.kernels.AttackKernels`
+with a round-level memoization of ``_monitor_round``, the Prime+Probe hot
+loop, and a test-level memoization of ``test_eviction_kernel`` (see the
+construction-test section below).  It is the kernel bundle of every
+counter-RNG machine (:meth:`repro.core.context.AttackerContext.kernels`).
 Under the serial RNG contract this optimization is illegal: whether a round
 draws noise depends on the *order* of every draw before it, so no two rounds
 are ever provably alike.  Under the counter (event-keyed) contract each
@@ -30,18 +33,21 @@ while the within-round write order is invariant.
 Preemption stays live in both paths (the serial preemption stream is part
 of the machine contract in every RNG mode), as does event draining: any
 pending machine event disables the replay path for that round.
+
+With both memos switched off (:func:`vec_disabled` plus
+:func:`construct_memo_disabled`) a ``VecKernels`` runs exactly the
+inherited kernels; the parity suites use that as the live control.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..rng import S_NOISE_LLC, S_NOISE_SF
 from .hierarchy import _NOISE_TAG_BASE
-from .lanes import LaneKernels
+from .kernels import AttackKernels, PlaneRows
 from .policy_tables import TreePLRU8Table
 
 #: Kill switch for the memo-replay path (the parity suites use it to run
@@ -50,9 +56,8 @@ VEC_ENABLED = True
 
 #: Kill switch for the construction-test memo (``test_eviction_kernel`` /
 #: ``test_many_kernel`` record/replay).  Separate from :data:`VEC_ENABLED`
-#: so benches can compare the two layers independently; additionally
-#: disabled wholesale by ``REPRO_CMEMO=0``.
-CMEMO_ENABLED = os.environ.get("REPRO_CMEMO", "1") != "0"
+#: so benches can compare the two layers independently.
+CMEMO_ENABLED = True
 
 
 @contextmanager
@@ -150,13 +155,14 @@ class _RoundGeometry:
         self.entries: Dict[tuple, tuple] = {}
 
 
-class VecKernels(LaneKernels):
-    """Lane kernels with counter-mode memo-replay of monitor rounds.
+class VecKernels(AttackKernels):
+    """Fused kernels with counter-mode memo-replay of monitor rounds and
+    construction tests.
 
     Engages only when the machine runs the counter RNG contract and the
     touched structures have the shapes the replay understands (tree-PLRU8
     L1, LRU L2/SF — the default microarchitecture); anything else falls
-    back to the inherited live round, bit for bit.
+    back to the inherited live kernels, bit for bit.
     """
 
     #: Bound on distinct (vas, count, write) round shapes kept.
@@ -185,8 +191,8 @@ class VecKernels(LaneKernels):
         self._cmemo: Dict[tuple, Optional[dict]] = {}
         self._cm_ok: Optional[bool] = None
 
-    def invalidate_plans(self) -> None:
-        super().invalidate_plans()
+    def invalidate_memos(self) -> None:
+        """Drop every recorded round and test (address-space change hook)."""
         self._vmemo.clear()
         self._cmemo.clear()
 
@@ -483,7 +489,7 @@ class VecKernels(LaneKernels):
                 return False
         return True
 
-    def _cm_closure(self, plan, tline: int):
+    def _cm_closure(self, rows: PlaneRows, count: int, tline: int):
         """Transitive read/write closure of one test, as row index sets.
 
         Returns ``(S1, S2, SS)`` — L1, L2, and shared (SF/LLC) set
@@ -515,9 +521,9 @@ class VecKernels(LaneKernels):
         llc = hier.llc
         nb = _NOISE_TAG_BASE
         cores = hier.cfg.cores
-        S1 = set(plan.l1_uniq)
-        S2 = set(plan.l2_uniq)
-        SS = set(plan.shared_uniq)
+        S1 = set(rows.l1_sets[:count])
+        S2 = set(rows.l2_sets[:count])
+        SS = set(rows.shared_sets[:count])
         S1.add(tline & l1_mask)
         S2.add(tline & l2_mask)
         ts = sidx_memo.get(tline)
@@ -636,7 +642,7 @@ class VecKernels(LaneKernels):
             m.noise._rng.getstate(),
         )
 
-    def _cm_vcands(self, plan, tline: int, s2):
+    def _cm_vcands(self, lines, tline: int, s2):
         """Every line an L2-victim draw could be keyed by during the test:
         current hot-core L2 residents of closure rows, plus every line
         the test itself installs (candidates and the target)."""
@@ -651,8 +657,7 @@ class VecKernels(LaneKernels):
                 for t in tags[b:b + w]:
                     if t is not None and t < nb:
                         cands.add(t)
-        for step in plan.steps:
-            cands.add(step[0])
+        cands.update(lines)
         cands.add(tline)
         return sorted(cands)
 
@@ -662,11 +667,13 @@ class VecKernels(LaneKernels):
         if ok is None:
             ok = self._cm_ok = self._cm_shapes_ok()
         m = self.machine
-        if not ok or not CMEMO_ENABLED or not count or m._events:
+        if not ok or not CMEMO_ENABLED or count <= 2 or m._events:
             return super().test_eviction_kernel(
                 mode, tline, rows, count, repeats, threshold)
-        plan = self._plan(rows, count)
-        if plan is None:
+        lines = rows.lines[:count]
+        if len(set(lines)) != count:
+            # Only distinct-line tuples are memoized (the shapes the memo
+            # is validated on); a tuple that repeats a line runs live.
             return super().test_eviction_kernel(
                 mode, tline, rows, count, repeats, threshold)
         shape = (mode, tline, rows.vas, count, repeats, threshold)
@@ -682,7 +689,7 @@ class VecKernels(LaneKernels):
             cmemo[shape] = None
             return super().test_eviction_kernel(
                 mode, tline, rows, count, repeats, threshold)
-        closure = self._cm_closure(plan, tline)
+        closure = self._cm_closure(rows, count, tline)
         if closure is None:
             return super().test_eviction_kernel(
                 mode, tline, rows, count, repeats, threshold)
@@ -691,7 +698,7 @@ class VecKernels(LaneKernels):
         s2 = sorted(s2)
         ss = sorted(ss)
         planes = self._cm_planes(s1, s2, ss)
-        vcands = self._cm_vcands(plan, tline, s2)
+        vcands = self._cm_vcands(lines, tline, s2)
         pre = (self._cm_cap_rows(planes), self._cm_scalars(ss, vcands))
         if entries is None:
             entries = {}

@@ -33,13 +33,6 @@ from typing import Optional
 
 from ._util import make_rng
 
-try:  # optional, mirrors repro.memsys.lanes
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY
-    _np = None
-if os.environ.get("REPRO_NO_NUMPY"):
-    _np = None
-
 _MASK = (1 << 64) - 1
 
 #: Stream identifiers — one per draw site class.  Never renumber: keyed
@@ -152,83 +145,3 @@ class CounterRng:
             if p <= threshold:
                 return k
             k += 1
-
-    # -- Bulk draws (numpy; scalar results identical) ----------------------
-
-    def u01_many(self, stream: int, k1s, k2s, i: int):
-        """Vector of keyed uniforms, one per ``(k1, k2)`` pair.
-
-        Requires numpy (``k1s``/``k2s`` are int64 arrays); bit-identical
-        to calling :meth:`u01` per element — uint64 array arithmetic
-        wraps exactly like the masked scalar path.
-        """
-        np = _np
-        with np.errstate(over="ignore"):
-            return self._u01_many_nc(stream, k1s, k2s, i)
-
-    def _u01_many_nc(self, stream: int, k1s, k2s, i: int):
-        """:meth:`u01_many` body; caller owns the errstate context.
-
-        Split out so bulk drivers (:meth:`noise_poisson_many`) pay one
-        errstate enter/exit per *call*, not one per mix round.
-        """
-        np = _np
-        mix = self._mix64_np_nc
-        z = (np.uint64(stream * 0x9E3779B97F4A7C15 & _MASK)
-             + k1s.astype(np.uint64))
-        h = mix(np.uint64(self._key) ^ mix(z))
-        z2 = (k2s.astype(np.uint64) * np.uint64(0xD1342543DE82EF95)
-              + np.uint64(i))
-        h = mix(h + mix(z2))
-        return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
-
-    @staticmethod
-    def _mix64_np_nc(z):
-        np = _np
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
-    def noise_poisson_many(self, stream: int, sidxs, olds, lams):
-        """Vector of keyed noise draws (numpy), scalar-identical per lane.
-
-        All three scalar regimes are replicated lane-for-lane: the
-        one-uniform Bernoulli below 0.01, Knuth's product loop up to the
-        normal cutoff — run as masked vector iterations, where each
-        lane's running product multiplies the *same* index-addressed
-        uniforms in the same order as the scalar loop, so the IEEE
-        result (and hence the count) is bit-identical — and the rare
-        above-cutoff lanes through the scalar normal approximation.
-        """
-        np = _np
-        out = np.zeros(len(lams), dtype=np.int64)
-        with np.errstate(over="ignore"):
-            pos = lams > 0.0
-            small = pos & (lams < 0.01)
-            if small.any():
-                u = self._u01_many_nc(stream, sidxs[small], olds[small], 0)
-                out[small] = (u < lams[small]).astype(np.int64)
-            mid = pos & ~small & (lams <= self._NORMAL_CUTOFF)
-            if mid.any():
-                idx = np.nonzero(mid)[0]
-                thr = np.exp(-lams[idx])
-                p = np.ones(len(idx), dtype=np.float64)
-                k1s = sidxs[idx]
-                k2s = olds[idx]
-                live = np.arange(len(idx))
-                i = 0
-                while len(live):
-                    u = self._u01_many_nc(stream, k1s[live], k2s[live], i)
-                    p[live] = pl = p[live] * u
-                    done = pl <= thr[live]
-                    if done.any():
-                        out[idx[live[done]]] = i
-                        live = live[~done]
-                    i += 1
-            big = pos & ~small & (lams > self._NORMAL_CUTOFF)
-        if big.any():
-            poisson = self.noise_poisson
-            for j in np.nonzero(big)[0]:
-                out[j] = poisson(stream, int(sidxs[j]), int(olds[j]),
-                                 float(lams[j]))
-        return out

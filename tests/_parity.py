@@ -1,10 +1,10 @@
 """Shared digest helpers for the parity suites and the fuzz oracle.
 
-The three parity suites (data plane, kernels, lanes) and the differential
-fuzzer all fingerprint a machine the same way.  The implementation lives
-in :mod:`repro.check.digest` — the fuzz oracle diffs exactly what the
-golden fingerprints pin — and this module re-exports it under the
-historical helper names the suites use.
+The parity suites (data plane, kernels, counter RNG, snapshots, defenses)
+and the differential fuzzer all fingerprint a machine the same way.  The
+implementation lives in :mod:`repro.check.digest` — the fuzz oracle diffs
+exactly what the golden fingerprints pin — and this module re-exports it
+under the historical helper names the suites use.
 """
 
 from __future__ import annotations

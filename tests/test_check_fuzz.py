@@ -123,7 +123,7 @@ class TestRunTrace:
 
 @pytest.mark.slow
 class TestFuzzSmoke:
-    """The CI smoke: fixed seeds, all four tiers must agree exactly."""
+    """The CI smoke: fixed seeds, all three tiers must agree exactly."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_quiet_seeds_agree(self, seed):

@@ -6,19 +6,15 @@ pure function of ``(trial_seed, stream, event key)``, so the *same* trial
 must come out bit-identical no matter which execution tier draws in which
 order.  These suites pin that promise:
 
-* four-way path parity (unfused / kernels / live lanes / memo-replay vec)
-  on the kernel batteries and the monitor loop, quiet and noisy;
+* path parity (unfused / live kernels / memo-replay vec) on the kernel
+  batteries and the monitor loop, quiet and noisy;
 * the reference-tier oracle via the differential fuzzer's ``run_tiers``;
 * golden fingerprints for the counter mode (captured from the unfused
-  path — the vectorized tiers must reproduce them exactly, the same
-  collapse-the-oracle-chain structure as ``tests/test_lane_parity.py``);
+  path — the accelerated paths must reproduce them exactly, the same
+  collapse-the-oracle-chain structure as ``tests/test_kernel_parity.py``);
 * :class:`~repro.memsys.vec.VecKernels` replay-vs-live equivalence;
 * statistical sanity of the keyed draws (uniformity per stream,
-  Poisson moments, scalar/vector agreement, order independence).
-
-CI runs this file twice — with and without ``REPRO_NO_NUMPY=1`` — so the
-no-NumPy fallback (vec and lanes quietly disengage, scalar draws carry the
-contract alone) is exercised for real.
+  Poisson moments, order independence).
 """
 
 from __future__ import annotations
@@ -31,15 +27,13 @@ import pytest
 
 from tests._parity import _h, _machine_digest
 
-from repro import rng as rngmod
 from repro.config import cloud_run_noise, no_noise, skylake_sp_small
 from repro.core.context import AttackerContext
 from repro.core.evset.candidates import build_candidate_set
 from repro.core.evset.primitives import EvictionTester
 from repro.core.evset.types import EvictionSet
 from repro.core.monitor import ParallelProbing, PrimeScopeFlush, monitor_set
-from repro.memsys import kernels_disabled, lanes_disabled, vec_disabled
-from repro.memsys import lanes as lanesmod
+from repro.memsys import construct_memo_disabled, kernels_disabled, vec_disabled
 from repro.memsys.machine import Machine
 from repro.memsys.vec import VecKernels
 from repro.rng import (
@@ -57,26 +51,28 @@ def _counter_cfg():
     return dataclasses.replace(skylake_sp_small(), rng_mode="counter")
 
 
+@contextlib.contextmanager
 def _path_guard(path: str):
-    """unfused -> no kernels; kernels -> scalar kernels; lanes -> live
-    LaneKernels rounds (memo-replay off); vec -> the default resolution."""
+    """unfused -> no kernels; kernels -> the VecKernels bundle with both
+    memos off (live rounds and tests); vec -> the default resolution."""
     if path == "unfused":
-        return kernels_disabled()
-    if path == "kernels":
-        return lanes_disabled()
-    if path == "lanes":
-        return vec_disabled()
-    return contextlib.nullcontext()
+        with kernels_disabled():
+            yield
+    elif path == "kernels":
+        with vec_disabled(), construct_memo_disabled():
+            yield
+    else:
+        yield
 
 
-PATHS = ["unfused", "kernels", "lanes", "vec"]
+PATHS = ["unfused", "kernels", "vec"]
 
 
 # --- TestEviction parity ----------------------------------------------------
 
 
 def _tester_battery(mode: str, noisy: bool, path: str) -> dict:
-    """The lane-parity battery, on a counter-mode machine."""
+    """The kernel-parity battery, on a counter-mode machine."""
     fused = path != "unfused"
     noise = cloud_run_noise() if noisy else no_noise()
     machine = Machine(_counter_cfg(), noise=noise, seed=23)
@@ -99,8 +95,7 @@ def _tester_battery(mode: str, noisy: bool, path: str) -> dict:
 class TestCounterFourWayParity:
     def test_battery_bitwise_identical(self, mode, noisy):
         runs = {path: _tester_battery(mode, noisy, path) for path in PATHS}
-        assert runs["vec"] == runs["lanes"]
-        assert runs["lanes"] == runs["kernels"]
+        assert runs["vec"] == runs["kernels"]
         assert runs["kernels"] == runs["unfused"]
 
 
@@ -151,21 +146,18 @@ def _monitor_run(strategy_cls, path: str, seed: int = 31) -> dict:
 )
 def test_monitor_four_way_parity(strategy_cls):
     runs = {path: _monitor_run(strategy_cls, path) for path in PATHS}
-    assert runs["vec"] == runs["lanes"]
-    assert runs["lanes"] == runs["kernels"]
+    assert runs["vec"] == runs["kernels"]
     assert runs["kernels"] == runs["unfused"]
 
 
 def test_vec_replay_actually_engages():
     """The memo-replay path must fire on the steady-state monitor loop
-    (otherwise the vec tier silently degenerates to live lanes and the
+    (otherwise the vec tier silently degenerates to live kernels and the
     parity above proves nothing about replay)."""
-    if not lanesmod.HAVE_NUMPY:
-        pytest.skip("vec tier needs NumPy")
     machine = Machine(_counter_cfg(), noise=cloud_run_noise(), seed=31)
     ctx = AttackerContext(machine, seed=3)
     ctx.calibrate()
-    kern = ctx.lane_kernels()
+    kern = ctx.kernels()
     assert type(kern) is VecKernels
     cand = build_candidate_set(ctx, 0x2C0, size=machine.cfg.sf.ways)
     evset = EvictionSet(
@@ -210,10 +202,10 @@ class TestReferenceTierCounter:
 
 
 # --- Golden fingerprints ----------------------------------------------------
-# Captured from the unfused path on the counter contract; every vectorized
-# tier must reproduce them exactly.  (Serial-mode goldens live unchanged in
-# tests/test_kernel_parity.py / test_lane_parity.py — this mode adds new
-# goldens, it never moves old ones.)
+# Captured from the unfused path on the counter contract; every accelerated
+# path must reproduce them exactly.  (Serial-mode goldens live unchanged in
+# tests/test_kernel_parity.py — this mode adds new goldens, it never moves
+# old ones.)
 
 GOLDEN_COUNTER_BATTERY_NOISY_SF = "bd83113e62527f7d"
 GOLDEN_COUNTER_MONITOR_PARALLEL = "50ef3beb9c57ecb0"
@@ -340,34 +332,3 @@ class TestCounterStatistics:
         b = [CounterRng(13).noise_poisson(S_NOISE_SF, 6, old, 2.5)
              for old in range(500)]
         assert a == b
-
-
-class TestVectorScalarAgreement:
-    """The numpy bulk draws must be bit-identical to the scalar ones."""
-
-    def setup_method(self):
-        if rngmod._np is None:
-            pytest.skip("NumPy unavailable (REPRO_NO_NUMPY leg)")
-
-    def test_u01_many_matches_scalar(self):
-        np = rngmod._np
-        crng = CounterRng(21)
-        k1s = np.arange(512, dtype=np.int64) % 64
-        k2s = (np.arange(512, dtype=np.int64) * 977) % 100_000
-        vec = crng.u01_many(S_NOISE_SF, k1s, k2s, 0)
-        for j in range(512):
-            assert vec[j] == crng.u01(S_NOISE_SF, int(k1s[j]), int(k2s[j]), 0)
-
-    def test_noise_poisson_many_matches_scalar(self):
-        np = rngmod._np
-        crng = CounterRng(23)
-        sidxs = np.arange(100, dtype=np.int64) % 16
-        olds = np.arange(100, dtype=np.int64) * 53
-        lams = np.where(np.arange(100) % 3 == 0, 0.004, 1.7)
-        lams[0] = 0.0
-        vec = crng.noise_poisson_many(S_NOISE_SF, sidxs, olds, lams)
-        fresh = CounterRng(23)
-        for j in range(100):
-            assert vec[j] == fresh.noise_poisson(
-                S_NOISE_SF, int(sidxs[j]), int(olds[j]), float(lams[j])
-            )

@@ -1,21 +1,17 @@
 """Golden-fingerprint parity for defended trials (one per defense).
 
 The same fixed fuzz trace is replayed under every defense in
-:data:`repro.defenses.DEFENSE_NAMES` on all four execution tiers
-(reference/batched/kernels/lanes).  Two assertions per defense:
+:data:`repro.defenses.DEFENSE_NAMES` on all three execution tiers
+(reference/batched/kernels).  Two assertions per defense:
 
-* **Four-tier equality** — every tier produces identical op records and
-  an identical machine digest (the fuzz oracle's verdict), proving the
+* **Tier equality** — every tier produces identical op records and an
+  identical machine digest (the fuzz oracle's verdict), proving the
   accelerated paths disengage correctly on the defense wrappers.
-* **Golden fingerprint** — a sha256 digest of the lanes tier's records
+* **Golden fingerprint** — a sha256 digest of the kernels tier's records
   plus final machine digest (verdicts, stats, clock, noise log, RNG
   states), pinned at capture time.  Any behavioral drift in a defense
   implementation — placement, rekey schedule, eviction choice, noise
   reconciliation — moves the fingerprint.
-
-The digests are numpy-blind by construction (the vectorized tiers are
-bit-identical to the scalar ones), so this file passes unchanged under
-``REPRO_NO_NUMPY=1`` — CI runs both lanes.
 """
 
 from __future__ import annotations
@@ -64,7 +60,7 @@ class TestDefendedTrialParity:
         assert result["ok"], (result["divergent"], result["violations"])
 
     def test_golden_fingerprint(self, defense):
-        run = run_trace(_defended_trace(defense), "lanes")
+        run = run_trace(_defended_trace(defense), "kernels")
         assert run["violation"] is None
         assert _h([run["records"], run["digest"]]) == (
             GOLDEN_DEFENDED_TRIALS[defense]
@@ -80,7 +76,7 @@ class TestRekeyTrialParity:
     def test_golden_fingerprint(self, defense):
         trace = _defended_trace(defense, REKEY_SEED)
         assert any(op[0] == "rekey" for op in trace["ops"])
-        run = run_trace(trace, "lanes")
+        run = run_trace(trace, "kernels")
         assert run["violation"] is None
         assert _h([run["records"], run["digest"]]) == (
             GOLDEN_REKEY_TRIALS[defense]

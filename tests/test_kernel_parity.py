@@ -24,10 +24,14 @@ budgets) so CI runs it on every push.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+
 import pytest
 
 from tests._parity import _h, _machine_digest
 
+from repro.check.fuzz import _reference_cache_swap
 from repro.config import cloud_run_noise, no_noise, skylake_sp_small
 from repro.core.context import AttackerContext
 from repro.core.evset import EvsetConfig
@@ -37,8 +41,9 @@ from repro.core.evset.primitives import EvictionTester
 from repro.core.evset.types import EvictionSet
 from repro.core.monitor import ParallelProbing, PrimeScopeFlush, monitor_set
 from repro.memsys import kernels_disabled
-from repro.memsys.kernels import KERNELS_ENABLED
+from repro.memsys.kernels import KERNELS_ENABLED, AttackKernels
 from repro.memsys.machine import Machine
+from repro.memsys.vec import VecKernels
 
 
 # --- TestEviction parity ----------------------------------------------------
@@ -75,29 +80,32 @@ def test_kernels_enabled_by_default():
     assert KERNELS_ENABLED
 
 
+def _resolved(cfg, reference: bool = False):
+    """An l2 tester on a fresh context over ``cfg`` (built on the seed
+    oracle's caches when ``reference``)."""
+    with _reference_cache_swap() if reference else contextlib.nullcontext():
+        machine = Machine(cfg, noise=no_noise(), seed=4)
+    return EvictionTester(AttackerContext(machine, seed=1), mode="l2")
+
+
 def test_kernels_disabled_context_forces_unfused():
-    machine = Machine(skylake_sp_small(), noise=no_noise(), seed=4)
-    ctx = AttackerContext(machine, seed=1)
-    tester = EvictionTester(ctx, mode="l2")
+    tester = _resolved(skylake_sp_small())
     with kernels_disabled():
         assert tester._kernels() is None
-    assert tester._kernels() is not None
+    # One bundle per machine: plain kernels under the serial contract,
+    # the memo-replay bundle under the counter contract, none at all on
+    # the duck-typed reference caches.
+    assert type(tester._kernels()) is AttackKernels
+    counter = dataclasses.replace(skylake_sp_small(), rng_mode="counter")
+    assert type(_resolved(counter)._kernels()) is VecKernels
+    assert _resolved(skylake_sp_small(), reference=True)._kernels() is None
 
 
 def test_reference_cache_disengages_kernels():
     """The seed oracle (and any duck-typed stand-in) must bypass kernels."""
-    import repro.memsys.hierarchy as hmod
-    from repro.memsys._reference import ReferenceSetAssociativeCache
-
-    original = hmod.SetAssociativeCache
-    hmod.SetAssociativeCache = ReferenceSetAssociativeCache
-    try:
-        machine = Machine(skylake_sp_small(), noise=no_noise(), seed=4)
-    finally:
-        hmod.SetAssociativeCache = original
-    ctx = AttackerContext(machine, seed=1)
-    assert not ctx.attack_kernels().engaged()
-    assert EvictionTester(ctx, mode="l2")._kernels() is None
+    tester = _resolved(skylake_sp_small(), reference=True)
+    assert tester.ctx.kernels() is None
+    assert tester._kernels() is None
 
 
 # --- Monitor parity ---------------------------------------------------------

@@ -7,7 +7,7 @@ and the construct memo (:mod:`repro.memsys.vec`) build on that promise.
 These suites pin it:
 
 * checkpoint -> mutate -> restore round-trips on the reference, kernels,
-  lanes, and vec tiers, serial and counter mode, quiet and noisy —
+  and vec tiers, serial and counter mode, quiet and noisy —
   verified with both the golden-pinned :func:`machine_digest` and the
   finer :func:`plane_digest`, and re-running the mutation after restore
   must reproduce it bit-for-bit;
@@ -20,10 +20,6 @@ These suites pin it:
   == recorded batteries == memo-disabled live control);
 * trial-prefix store leases: bit-identical ``ConstructionSample`` values
   with the cache on, off, and on cache hits, under both RNG contracts.
-
-CI runs this file with and without ``REPRO_NO_NUMPY=1``: in the no-NumPy
-leg the lanes/vec accelerators disengage and the same assertions cover
-the scalar fallbacks.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ from repro.memsys import (
     checkpoint,
     checkpoint_key,
     construct_memo_disabled,
-    lanes_disabled,
     restore,
     vec_disabled,
 )
@@ -58,16 +53,18 @@ from repro.memsys.snapshot import SnapshotParityError, _machine_caches
 RNG_MODES = ("serial", "counter")
 
 #: Tier name -> runtime guard (reference also swaps the cache class at
-#: build time; vec is the default resolution in counter mode).
-TIERS = ("reference", "kernels", "lanes", "vec")
+#: build time; vec is the default resolution, which in counter mode
+#: memo-replays, while kernels runs the same bundle with both memos off).
+TIERS = ("reference", "kernels", "vec")
 
 
+@contextlib.contextmanager
 def _runtime_guard(tier: str):
     if tier == "kernels":
-        return lanes_disabled()
-    if tier == "lanes":
-        return vec_disabled()
-    return contextlib.nullcontext()
+        with vec_disabled(), construct_memo_disabled():
+            yield
+    else:
+        yield
 
 
 def _machine_ctx(tier: str, mode: str, noisy: bool = False):
