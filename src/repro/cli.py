@@ -476,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
         fp.add_argument("--max-inflight", type=int, default=2,
                         help="shards executing concurrently")
         fp.add_argument("--jobs-per-shard", type=int, default=1,
-                        help="worker processes inside each shard (0 invalid)")
+                        help="worker processes per shard thread, reused "
+                        "across its shards (0 invalid)")
         fp.add_argument("--queue-depth", type=int, default=8,
                         help="bounded dispatch queue depth")
         fp.add_argument("--shard-retries", type=int, default=2,

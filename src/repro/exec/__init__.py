@@ -9,7 +9,8 @@ staying bit-identical to serial execution:
   picklable ``(fn, config, seed)`` units with deterministic per-campaign
   seed streams and a content fingerprint.
 * :mod:`repro.exec.executor` — :func:`run_campaign` on a process pool
-  with per-trial timeouts, bounded crash retry, and a serial fallback.
+  with per-trial timeouts, bounded crash retry, and a serial fallback;
+  a :class:`WorkerPool` keeps the workers up across calls.
 * :mod:`repro.exec.journal` — a JSONL result journal keyed by the
   campaign fingerprint; reruns resume and repeat invocations are cache
   hits.
@@ -43,6 +44,7 @@ from .executor import (
     ExecPolicy,
     TrialResult,
     TrialTimeout,
+    WorkerPool,
     default_jobs,
     run_campaign,
 )
@@ -79,6 +81,7 @@ __all__ = [
     "TrialResult",
     "TrialSpec",
     "TrialTimeout",
+    "WorkerPool",
     "arithmetic_seeds",
     "bulk_campaign",
     "bulk_trial",

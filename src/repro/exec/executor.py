@@ -10,14 +10,19 @@ that contract:
   context where available, so trial functions defined in scripts and
   benchmark modules pickle by reference).  A pool task is a chunk of
   ``batch`` specs that the worker runs one after another.
+* The executor comes from a :class:`WorkerPool`, which forks its workers
+  on first use and keeps them across calls: a caller that runs many
+  campaigns back to back (a fleet shard thread) passes its own pool and
+  pays the fork once; otherwise ``run_campaign`` makes a private pool
+  and closes it before returning.
 * Per-trial timeouts are enforced *inside* the worker with ``SIGALRM``,
   so a runaway trial is cut off without killing its worker.  The alarm
   needs a main thread, so a caller off the main thread that sets a
   timeout always runs its trials in worker processes.
 * A worker process dying (OOM, segfault, ``os._exit``) breaks the pool;
-  the engine restarts it and resubmits the unfinished trials, bounding
-  resubmissions per trial by ``max_retries`` before recording the trial
-  as ``crashed``.
+  the engine discards it, forks a fresh one and resubmits the unfinished
+  trials, bounding resubmissions per trial by ``max_retries`` before
+  recording the trial as ``crashed``.
 * ``jobs == 1`` — or a pool that cannot be created at all (restricted
   sandboxes) — degrades to an in-process serial loop over the same specs.
 
@@ -53,8 +58,11 @@ class TrialTimeout(ReproError):
 class ExecPolicy:
     """How to run a campaign (not *what* to run — that's the Campaign).
 
-    ``jobs=None`` means one worker per available core.  ``timeout_s`` is
-    the per-trial budget (None = unlimited).  ``max_retries`` bounds how
+    ``jobs=None`` means one worker per available core; it decides whether
+    a run goes to worker processes at all, and sizes the private pool
+    ``run_campaign`` forks when the caller passes no :class:`WorkerPool`
+    (a caller's pool keeps its own size).  ``timeout_s`` is the
+    per-trial budget (None = unlimited).  ``max_retries`` bounds how
     many times a trial may be resubmitted after worker crashes.
     ``batch`` is how many trials go to a worker as one pool task; the
     task runs them one after another, amortizing submit/pickle overhead
@@ -212,6 +220,65 @@ def _mp_context():
     return None
 
 
+class WorkerPool:
+    """Worker processes that outlive one :func:`run_campaign` call.
+
+    Forking a pool and joining it costs milliseconds, which is as much as
+    a whole shard of microsecond trials.  A caller that runs campaigns
+    back to back hands the same pool to each call: the workers are
+    forked lazily on the first :meth:`get` and reused until
+    :meth:`close`.  A pool broken by a dying worker is dropped with
+    :meth:`discard`, and the next :meth:`get` forks a fresh one.  One
+    pool serves one caller at a time; concurrent callers each own one,
+    so a crash in one cannot break another's trials.
+    """
+
+    def __init__(self, jobs: int) -> None:
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        self.jobs = jobs
+        self._executor: Optional[ProcessPoolExecutor] = None
+
+    def get(self) -> ProcessPoolExecutor:
+        """The live executor, forking one if there is none."""
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.jobs, mp_context=_mp_context()
+            )
+        return self._executor
+
+    def discard(self, executor: ProcessPoolExecutor) -> None:
+        """Shut ``executor`` down and forget it; :meth:`get` forks anew.
+
+        Waits for the executor's running tasks, like leaving its ``with``.
+        """
+        if self._executor is executor:
+            self._executor = None
+        executor.shutdown(wait=True)
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self.discard(self._executor)
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+#: Held across every ``submit``: a fork-context executor forks all its
+#: workers inside its first one.  Shard threads fork concurrently, and a
+#: child forked while another thread is between creating a worker and
+#: closing the parent's copy of that worker's exit pipe keeps the pipe
+#: open.  The other pool then never sees its worker die while the child
+#: lives, and a pool reused across shards lives until the run ends.
+_FORK_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    # A worker is forked with the lock held; let it fork pools of its own.
+    os.register_at_fork(after_in_child=_FORK_LOCK._at_fork_reinit)
+
+
 #: Sentinel: an isolated final attempt's own pool died — the trial is
 #: definitively the crasher, not collateral of a pool-mate.
 _CRASHED = object()
@@ -236,8 +303,9 @@ class _ParallelRun:
         self.restarts = 0
         self.retried = 0
 
-    def _submit(self, pool, group: List[TrialSpec]):
-        return pool.submit(_pool_worker, group, self.policy.timeout_s)
+    def _submit(self, executor, group: List[TrialSpec]):
+        with _FORK_LOCK:
+            return executor.submit(_pool_worker, group, self.policy.timeout_s)
 
     def _final_attempt(self, spec: TrialSpec):
         """Re-run one out-of-retries trial alone in a one-worker pool.
@@ -266,72 +334,86 @@ class _ParallelRun:
         except Exception as exc:  # noqa: BLE001 - worker-raised, pool healthy
             return _failed_record(spec, exc)
 
-    def run(self, specs: List[TrialSpec]) -> List[TrialSpec]:
-        """Execute specs; returns specs left over if no pool could be made."""
+    def _round(self, workers: WorkerPool, executor, pending, attempts):
+        """Submit every pending group to ``executor`` and collect results.
+
+        Returns ``None`` if not one group could be submitted, else whether
+        a worker died.  A broken executor is discarded before returning,
+        after every result that landed before the breakage was emitted.
+        """
+        futures = {}
+        try:
+            for key, group in pending.items():
+                futures[self._submit(executor, group)] = key
+                attempts[key] += 1
+                if attempts[key] > 1:
+                    self.retried += len(group)
+        except (OSError, RuntimeError, BrokenProcessPool):
+            if not futures:
+                return None
+            broken = True
+        else:
+            broken = False
+        not_done = set(futures)
+        while not_done and not broken:
+            done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
+            for future in done:
+                key = futures[future]
+                try:
+                    records = future.result()
+                except BrokenProcessPool:
+                    broken = True
+                    continue
+                except Exception as exc:  # noqa: BLE001
+                    records = [_failed_record(spec, exc) for spec in pending[key]]
+                for record in records:
+                    self.emit(record, attempts[key])
+                pending.pop(key)
+        if broken:
+            # Let any still-healthy workers finish, then harvest every
+            # result that landed before the breakage so it is not
+            # re-executed after the restart.
+            workers.discard(executor)
+            for future, key in futures.items():
+                if key not in pending or not future.done():
+                    continue
+                try:
+                    records = future.result()
+                except Exception:  # noqa: BLE001
+                    continue
+                for record in records:
+                    self.emit(record, attempts[key])
+                pending.pop(key)
+        return broken
+
+    def run(self, specs: List[TrialSpec], workers: WorkerPool) -> List[TrialSpec]:
+        """Execute specs on ``workers``; returns the specs left over if
+        no worker process could be made, for the caller to run serially.
+        """
         batch = self.policy.batch
         groups = [specs[i : i + batch] for i in range(0, len(specs), batch)]
         pending: Dict[int, List[TrialSpec]] = {g[0].index: g for g in groups}
         attempts: Dict[int, int] = {key: 0 for key in pending}
-        jobs = self.policy.resolved_jobs()
+        reforked = False
         while pending:
             try:
-                pool = ProcessPoolExecutor(
-                    max_workers=min(jobs, len(pending)), mp_context=_mp_context()
-                )
+                executor = workers.get()
             except (OSError, ValueError, PermissionError):
                 return [s for g in pending.values() for s in g]
-            broken = False
             try:
-                with pool:
-                    futures = {}
-                    try:
-                        for key, group in pending.items():
-                            attempts[key] += 1
-                            if attempts[key] > 1:
-                                self.retried += len(group)
-                            futures[self._submit(pool, group)] = key
-                    except (OSError, RuntimeError, BrokenProcessPool):
-                        # Worker processes could not be spawned at all.
-                        if not futures:
-                            return [s for g in pending.values() for s in g]
-                        broken = True
-                    not_done = set(futures)
-                    while not_done and not broken:
-                        done, not_done = wait(
-                            not_done, return_when=FIRST_COMPLETED
-                        )
-                        for future in done:
-                            key = futures[future]
-                            group = pending.get(key, [])
-                            try:
-                                records = future.result()
-                            except BrokenProcessPool:
-                                broken = True
-                                continue
-                            except Exception as exc:  # noqa: BLE001
-                                records = [
-                                    _failed_record(spec, exc) for spec in group
-                                ]
-                            for record in records:
-                                self.emit(record, attempts[key])
-                            pending.pop(key, None)
-                    if broken:
-                        # Let any still-healthy workers finish, then harvest
-                        # every result that landed before the breakage so it
-                        # is not re-executed after the restart.
-                        pool.shutdown(wait=True)
-                        for future, key in futures.items():
-                            if key not in pending or not future.done():
-                                continue
-                            try:
-                                records = future.result()
-                            except Exception:  # noqa: BLE001
-                                continue
-                            for record in records:
-                                self.emit(record, attempts[key])
-                            pending.pop(key, None)
-            except BrokenProcessPool:
-                broken = True
+                broken = self._round(workers, executor, pending, attempts)
+            except BaseException:
+                workers.discard(executor)
+                raise
+            if broken is None:
+                # Nothing could be submitted: either no worker can be
+                # spawned here, or a reused pool lost a worker while
+                # idle.  One fresh fork tells the two apart.
+                workers.discard(executor)
+                if reforked:
+                    return [s for g in pending.values() for s in g]
+                reforked = True
+                continue
             if broken:
                 self.restarts += 1
                 for key, group in list(pending.items()):
@@ -363,12 +445,16 @@ def run_campaign(
     policy: Optional[ExecPolicy] = None,
     journal: Optional[CampaignJournal] = None,
     reporter: Optional["ProgressReporter"] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> CampaignResult:
     """Execute ``campaign`` under ``policy`` and return ordered results.
 
     With a journal, previously finished trials are served from disk
     (``cached=True`` records) and fresh ones are appended as they
     complete.  With a reporter, progress lines stream while running.
+    With a ``pool``, trials that go to worker processes run on its
+    workers, which stay up for the caller's next call; without one, a
+    private pool is forked and closed before returning.
     """
     from .progress import ProgressReporter  # local: avoid import cycle
 
@@ -419,7 +505,15 @@ def run_campaign(
         timed_off_main or (policy.resolved_jobs() > 1 and len(pending) > 1)
     ):
         run = _ParallelRun(policy, emit)
-        leftover = run.run(pending)
+        workers = pool
+        if pool is None:
+            groups = -(-len(pending) // policy.batch)
+            workers = WorkerPool(min(policy.resolved_jobs(), groups))
+        try:
+            leftover = run.run(pending, workers)
+        finally:
+            if pool is None:
+                workers.close()
         restarts, retried = run.restarts, run.retried
 
     # Serial path: jobs == 1, a single pending trial, or pool unavailable.

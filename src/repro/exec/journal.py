@@ -17,7 +17,7 @@ import os
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from .spec import Campaign
+from .spec import Campaign, ResultCodec
 
 #: Default journal directory (gitignored; see also the CLI's --journal-dir).
 DEFAULT_JOURNAL_DIR = Path(".repro") / "journals"
@@ -25,6 +25,31 @@ DEFAULT_JOURNAL_DIR = Path(".repro") / "journals"
 #: Statuses a trial record may carry.  Only "ok" records are reused on
 #: resume; failures re-run so a fixed environment can complete a campaign.
 TRIAL_STATUSES = ("ok", "failed", "timeout", "crashed")
+
+#: JSON text of one journal line, keys sorted.  One shared encoder:
+#: ``json.dumps(..., sort_keys=True)`` builds a new one per call, and
+#: the output is the same.
+encode_line = json.JSONEncoder(sort_keys=True).encode
+
+
+def trial_line(record: "TrialRecordLike", index: int, codec: ResultCodec) -> str:
+    """The journal line (without newline) of one finished trial.
+
+    ``index`` is the trial's index in the journal's campaign, which for
+    a fleet shard segment differs from the sub-campaign's ``record.index``.
+    Both writers, :class:`CampaignJournal` and the fleet's shard
+    segments, render trials here, so they share one line format.
+    """
+    return encode_line({
+        "kind": "trial",
+        "index": index,
+        "seed": record.seed,
+        "status": record.status,
+        "elapsed_s": record.elapsed_s,
+        "attempts": record.attempts,
+        "error": record.error,
+        "value": codec.encode(record.value) if record.status == "ok" else None,
+    })
 
 
 class CampaignJournal:
@@ -59,23 +84,9 @@ class CampaignJournal:
         self.directory.mkdir(parents=True, exist_ok=True)
         lines = []
         if not self._header_written:
-            lines.append(json.dumps(self._header(), sort_keys=True))
+            lines.append(encode_line(self._header()))
             self._header_written = True
-        payload = {
-            "kind": "trial",
-            "index": record.index,
-            "seed": record.seed,
-            "status": record.status,
-            "elapsed_s": record.elapsed_s,
-            "attempts": record.attempts,
-            "error": record.error,
-            "value": (
-                self.campaign.codec.encode(record.value)
-                if record.status == "ok"
-                else None
-            ),
-        }
-        lines.append(json.dumps(payload, sort_keys=True))
+        lines.append(trial_line(record, record.index, self.campaign.codec))
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
             fh.flush()

@@ -9,11 +9,13 @@ over the existing process-pool executor:
 * ``max_inflight`` worker tasks execute shards in a thread pool, each
   shard running :func:`repro.exec.run_campaign` against its own store
   segment (so per-trial durability and crash-retry come from the
-  engine, unchanged);
+  engine, unchanged); each worker task owns one
+  :class:`~repro.exec.WorkerPool` and reuses its processes for every
+  shard it runs, so a run forks and joins them once, not per shard;
 * finished-shard summaries pass through a **bounded results queue** to
-  the consumer, which folds live aggregates and updates the store
-  index — a slow consumer therefore stalls dispatch instead of piling
-  results in memory (per-shard backpressure);
+  the consumer, which accounts them in the run report and the progress
+  reporter — a slow consumer therefore stalls dispatch instead of
+  piling results in memory (per-shard backpressure);
 * a shard whose workers crashed retries with exponential backoff
   (``shard_retries`` / ``retry_backoff_s``) before its failures stand;
 * :meth:`FleetScheduler.request_drain` stops new dispatch, finishes
@@ -34,8 +36,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Union
 
-from ..analysis.streaming import CampaignAggregate
-from ..exec.executor import ExecPolicy, run_campaign
+from ..exec.executor import ExecPolicy, WorkerPool, run_campaign
 from ..exec.spec import Campaign
 from .sharding import DEFAULT_SHARD_SIZE, ShardSpec, order_shards, shard_subcampaign
 from .store import DEFAULT_FLEET_DIR, FleetStore
@@ -45,10 +46,12 @@ from .store import DEFAULT_FLEET_DIR, FleetStore
 class FleetPolicy:
     """How the fleet runs a campaign (the campaign says *what* runs).
 
-    ``jobs_per_shard`` sizes each shard's process pool (CPU fan-out);
-    ``max_inflight`` bounds concurrently executing shards (pipeline
-    overlap); ``queue_depth`` / ``result_buffer`` bound the dispatch and
-    results queues (backpressure).  ``batch`` is how many of a shard's
+    ``jobs_per_shard`` sizes each shard thread's pool, reused across its
+    shards (CPU fan-out); ``max_inflight`` bounds concurrently executing
+    shards (pipeline overlap), so a run keeps up to ``max_inflight *
+    jobs_per_shard`` worker processes; ``queue_depth`` /
+    ``result_buffer`` bound the dispatch and results queues
+    (backpressure).  ``batch`` is how many of a shard's
     trials go to one of its workers as a single pool task (see
     :class:`repro.exec.ExecPolicy`).  Shards run on scheduler threads,
     where a ``SIGALRM`` cannot fire, so a ``timeout_s`` runs every
@@ -146,7 +149,6 @@ class FleetScheduler:
         self.priority = priority
         self.reporter = reporter
         self.on_shard = on_shard
-        self.aggregate = CampaignAggregate()
         self._drain_requested = False
         self._drain_event: Optional[asyncio.Event] = None
         # Backpressure instrumentation: shards started minus shards whose
@@ -169,7 +171,9 @@ class FleetScheduler:
 
     # -- shard execution (runs in a worker thread) -------------------------
 
-    def _run_shard_once(self, shard: ShardSpec) -> ShardOutcome:
+    def _run_shard_once(
+        self, shard: ShardSpec, workers: WorkerPool
+    ) -> ShardOutcome:
         sub = shard_subcampaign(self.campaign, shard)
         journal = self.store.shard_journal(
             shard, flush_every=self.policy.flush_every
@@ -190,6 +194,7 @@ class FleetScheduler:
                     batch=self.policy.batch,
                 ),
                 journal=journal,
+                pool=workers,
             )
         finally:
             journal.close()
@@ -208,11 +213,14 @@ class FleetScheduler:
             outcome.records.append(record)
         return outcome
 
-    async def _execute_with_retry(self, shard: ShardSpec, pool) -> ShardOutcome:
+    async def _execute_with_retry(
+        self, shard: ShardSpec, threads, workers: WorkerPool
+    ) -> ShardOutcome:
         """Run a shard, retrying crashed/failed trials with backoff.
 
         The store segment persists finished trials across attempts, so a
-        retry only re-runs the trials that did not complete.
+        retry only re-runs the trials that did not complete.  Every
+        attempt runs on the caller's ``workers``.
         """
         loop = asyncio.get_running_loop()
         outcome: Optional[ShardOutcome] = None
@@ -223,7 +231,7 @@ class FleetScheduler:
                 )
             try:
                 outcome = await loop.run_in_executor(
-                    pool, self._run_shard_once, shard
+                    threads, self._run_shard_once, shard, workers
                 )
             except Exception as exc:  # noqa: BLE001 - reported, not raised
                 outcome = ShardOutcome(
@@ -278,7 +286,7 @@ class FleetScheduler:
             for _ in range(n_workers):
                 await queue.put((len(plan), -1, None))
 
-        async def worker() -> None:
+        async def worker(workers: WorkerPool) -> None:
             while True:
                 _, _, shard = await queue.get()
                 if shard is None:
@@ -290,7 +298,9 @@ class FleetScheduler:
                 self._peak_ahead = max(
                     self._peak_ahead, self._started - self._consumed
                 )
-                outcome = await self._execute_with_retry(shard, pool)
+                outcome = await self._execute_with_retry(
+                    shard, threads, workers
+                )
                 await results.put(outcome)
 
         async def consumer() -> None:
@@ -310,17 +320,25 @@ class FleetScheduler:
                 ):
                     self.request_drain()
 
-        with ThreadPoolExecutor(
-            max_workers=n_workers, thread_name_prefix="fleet-shard"
-        ) as pool:
-            feeder_task = asyncio.create_task(feeder())
-            worker_tasks = [
-                asyncio.create_task(worker()) for _ in range(n_workers)
-            ]
-            consumer_task = asyncio.create_task(consumer())
-            await asyncio.gather(feeder_task, *worker_tasks)
-            await results.put(None)
-            await consumer_task
+        # One process pool per worker task, forked on its first parallel
+        # shard: concurrent shards never share workers, so one shard's
+        # crash cannot break another's trials.
+        pools = [WorkerPool(policy.jobs_per_shard) for _ in range(n_workers)]
+        try:
+            with ThreadPoolExecutor(
+                max_workers=n_workers, thread_name_prefix="fleet-shard"
+            ) as threads:
+                feeder_task = asyncio.create_task(feeder())
+                worker_tasks = [
+                    asyncio.create_task(worker(workers)) for workers in pools
+                ]
+                consumer_task = asyncio.create_task(consumer())
+                await asyncio.gather(feeder_task, *worker_tasks)
+                await results.put(None)
+                await consumer_task
+        finally:
+            for workers in pools:
+                workers.close()
 
         report.completed_trials = self.store.completed_trials()
         report.drained = self._drain_requested and not report.complete
@@ -338,11 +356,10 @@ class FleetScheduler:
         report.failed_trials += outcome.failed
         report.prefix_hits += outcome.prefix_hits
         report.prefix_misses += outcome.prefix_misses
-        for record in outcome.records:
-            if record.ok and not record.cached:
-                self.aggregate.push(record.value)
-            if self.reporter is not None and not record.cached:
-                self.reporter.update(record)
+        if self.reporter is not None:
+            for record in outcome.records:
+                if not record.cached:
+                    self.reporter.update(record)
         outcome.records = []  # the store holds them; keep RSS constant
 
 

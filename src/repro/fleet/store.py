@@ -19,6 +19,9 @@ tail of each in-flight shard, which resume simply re-runs.
 Reading is streaming: :meth:`FleetStore.iter_completed` walks shards in
 index order, holding at most one shard's records in memory at a time —
 that is what lets a million-trial campaign aggregate in constant RSS.
+A pass over every shard reads ``index.json`` once and the index-sorted
+compacted file once, front to back, so it costs O(trials) however the
+trials are split between shards.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import os
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..exec.journal import _safe_name
+from ..exec.journal import _safe_name, encode_line, trial_line
 from ..exec.spec import Campaign
 from .sharding import ShardSpec, plan_shards
 
@@ -67,7 +70,9 @@ class ShardJournal:
     Duck-types :class:`repro.exec.journal.CampaignJournal` (``fingerprint``
     / ``load_completed`` / ``append``) but maps the sub-campaign's local
     trial indices to the parent campaign's global ones, and batches
-    appends (``flush_every``) so cheap trials are not fsync-bound.
+    appends (``flush_every``) so cheap trials are not fsync-bound.  The
+    segment is opened on the first flush and stays open until
+    :meth:`close`; every flush still writes, flushes and fsyncs its batch.
     """
 
     def __init__(
@@ -83,6 +88,7 @@ class ShardJournal:
         self.flush_every = max(1, flush_every)
         self._buffer: List[str] = []
         self._header_written = self.path.exists()
+        self._fh = None
 
     # -- journal duck-type (local indices, used by run_campaign) ----------
 
@@ -97,22 +103,11 @@ class ShardJournal:
 
     def append(self, record) -> None:
         """Buffer one finished trial (local index -> global index)."""
-        global_index = self.shard.lo + record.index
-        payload = {
-            "kind": "trial",
-            "index": global_index,
-            "seed": record.seed,
-            "status": record.status,
-            "elapsed_s": record.elapsed_s,
-            "attempts": record.attempts,
-            "error": record.error,
-            "value": (
-                self.store.campaign.codec.encode(record.value)
-                if record.status == "ok"
-                else None
-            ),
-        }
-        self._buffer.append(json.dumps(payload, sort_keys=True))
+        self._buffer.append(
+            trial_line(
+                record, self.shard.lo + record.index, self.store.campaign.codec
+            )
+        )
         if len(self._buffer) >= self.flush_every:
             self.flush()
 
@@ -121,21 +116,26 @@ class ShardJournal:
     def flush(self) -> None:
         if not self._buffer:
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if self._fh is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = open(self.path, "a", encoding="utf-8")
         lines = []
         if not self._header_written:
-            lines.append(json.dumps(self.store.segment_header(self.shard),
-                                    sort_keys=True))
+            lines.append(encode_line(self.store.segment_header(self.shard)))
             self._header_written = True
         lines.extend(self._buffer)
         self._buffer = []
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        self._fh.write("\n".join(lines) + "\n")
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
 
     def close(self) -> None:
-        self.flush()
+        try:
+            self.flush()
+        finally:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     def __enter__(self) -> "ShardJournal":
         return self
@@ -256,20 +256,50 @@ class FleetStore:
         Reads the live segment and, when the shard was compacted, its
         slice of the compacted file.  Records are validated against the
         campaign (index range, per-index seed) exactly like
-        ``CampaignJournal.load_completed``.
+        ``CampaignJournal.load_completed``.  Reads of every shard walk
+        the compacted file once for all of them instead (see
+        :meth:`iter_completed`).
         """
         self._check_shard(shard)
         records: Dict[int, dict] = {}
         if shard.shard_id in self._compacted_ids():
-            for obj in self._iter_compacted_range(shard.lo, shard.hi):
+            for obj in self._iter_compacted():
+                if obj["index"] >= shard.hi:
+                    break
                 self._admit(records, obj, shard)
+        self._read_segment(shard, records)
+        return records
+
+    def _shard_records(
+        self, compacted_ids: Sequence[int]
+    ) -> Iterator[Tuple[ShardSpec, Dict[int, dict]]]:
+        """``(shard, load_shard_records(shard))`` for every shard, in order.
+
+        One pass: the index-sorted compacted file is read front to back
+        alongside the shards (whose ranges are contiguous and ascending),
+        so each line is parsed once.  ``compacted_ids`` are the shards the
+        index lists as compacted.
+        """
+        compacted_ids = set(compacted_ids)
+        stream = self._iter_compacted() if compacted_ids else iter(())
+        head = next(stream, None)
+        for shard in self.shards:
+            records: Dict[int, dict] = {}
+            while head is not None and head["index"] < shard.hi:
+                if shard.shard_id in compacted_ids:
+                    self._admit(records, head, shard)
+                head = next(stream, None)
+            self._read_segment(shard, records)
+            yield shard, records
+
+    def _read_segment(self, shard: ShardSpec, records: Dict[int, dict]) -> None:
+        """Admit the shard's live segment records (they override compacted)."""
         path = self.segment_path(shard)
         if path.exists():
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
             for obj in _parse_segment_lines(raw):
                 self._admit(records, obj, shard)
-        return records
 
     def _admit(self, records: Dict[int, dict], obj: dict, shard: ShardSpec) -> None:
         """Validate one parsed record and add it to the shard's map."""
@@ -288,11 +318,8 @@ class FleetStore:
             return
         records[index] = obj
 
-    def _iter_compacted_range(self, lo: int, hi: int) -> Iterator[dict]:
-        """Stream compacted records with ``lo <= index < hi``.
-
-        The compacted file is index-sorted, so the scan stops at ``hi``.
-        """
+    def _iter_compacted(self) -> Iterator[dict]:
+        """The compacted file's trial records, in file (= index) order."""
         path = self.run_dir / self.COMPACTED
         if not path.exists():
             return
@@ -305,14 +332,8 @@ class FleetStore:
                     obj = json.loads(line)
                 except json.JSONDecodeError:
                     continue
-                if obj.get("kind") != "trial":
-                    continue
-                index = obj.get("index")
-                if not isinstance(index, int) or index < lo:
-                    continue
-                if index >= hi:
-                    return
-                yield obj
+                if obj.get("kind") == "trial" and isinstance(obj.get("index"), int):
+                    yield obj
 
     # -- progress index ---------------------------------------------------
 
@@ -329,6 +350,26 @@ class FleetStore:
             return {}
         return index
 
+    def _write_index(self, compacted: List[int], done: Dict[int, int]) -> dict:
+        """Persist the index cache: compacted shard ids and per-shard counts."""
+        payload = {
+            "kind": "fleet-index",
+            "fingerprint": self.fingerprint,
+            "shard_size": self.shard_size,
+            "compacted": compacted,
+            "shards": {
+                str(shard.shard_id): {
+                    "lo": shard.lo,
+                    "hi": shard.hi,
+                    "done": done[shard.shard_id],
+                }
+                for shard in self.shards
+            },
+        }
+        self.run_dir.mkdir(parents=True, exist_ok=True)
+        _atomic_write_json(self.run_dir / self.INDEX, payload)
+        return payload
+
     def refresh_index(self) -> dict:
         """Recount every shard from disk and rewrite the index cache.
 
@@ -336,43 +377,11 @@ class FleetStore:
         costs a rescan, never data.
         """
         compacted = self._compacted_ids()
-        shards_payload = {}
-        for shard in self.shards:
-            done = len(self.load_shard_records(shard))
-            shards_payload[str(shard.shard_id)] = {
-                "lo": shard.lo,
-                "hi": shard.hi,
-                "done": done,
-            }
-        payload = {
-            "kind": "fleet-index",
-            "fingerprint": self.fingerprint,
-            "shard_size": self.shard_size,
-            "compacted": compacted,
-            "shards": shards_payload,
+        done = {
+            shard.shard_id: len(records)
+            for shard, records in self._shard_records(compacted)
         }
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write_json(self.run_dir / self.INDEX, payload)
-        return payload
-
-    def mark_shard(self, shard: ShardSpec, done: int) -> None:
-        """Record one shard's durable progress in the index cache."""
-        index = self._load_index()
-        if not index:
-            index = {
-                "kind": "fleet-index",
-                "fingerprint": self.fingerprint,
-                "shard_size": self.shard_size,
-                "compacted": [],
-                "shards": {},
-            }
-        index.setdefault("shards", {})[str(shard.shard_id)] = {
-            "lo": shard.lo,
-            "hi": shard.hi,
-            "done": done,
-        }
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write_json(self.run_dir / self.INDEX, index)
+        return self._write_index(compacted, done)
 
     def progress(self, recount: bool = False) -> List[ShardProgress]:
         """Per-shard progress, from the index cache or a fresh recount."""
@@ -405,8 +414,7 @@ class FleetStore:
         id order (= index order, since ranges are contiguous) and each
         shard's records are sorted locally before yielding.
         """
-        for shard in self.shards:
-            records = self.load_shard_records(shard)
+        for _, records in self._shard_records(self._compacted_ids()):
             for index in sorted(records):
                 yield index, records[index]
 
@@ -422,19 +430,13 @@ class FleetStore:
         """Fold every complete shard into the sorted compacted file.
 
         Streams shard-by-shard into a temp file and atomically replaces
-        ``compacted.jsonl``, then deletes the folded segments and updates
-        the index.  The result (plus live segments) is bit-equivalent to
-        the pre-compaction state for every reader; for a fully complete
-        run it is a valid single-file campaign journal.
+        ``compacted.jsonl``, then updates the index and deletes the
+        folded segments.  The result (plus live segments) is
+        bit-equivalent to the pre-compaction state for every reader; for
+        a fully complete run it is a valid single-file campaign journal.
+        One pass over the store recounts every shard and folds the
+        complete ones.
         """
-        progress = {p.shard_id: p for p in self.progress(recount=True)}
-        already = set(self._compacted_ids())
-        foldable = [
-            s
-            for s in self.shards
-            if progress[s.shard_id].complete
-            and (s.shard_id in already or self.segment_path(s).exists())
-        ]
         self.run_dir.mkdir(parents=True, exist_ok=True)
         target = self.run_dir / self.COMPACTED
         tmp = target.with_suffix(".tmp")
@@ -444,25 +446,21 @@ class FleetStore:
             "fingerprint": self.fingerprint,
             "n_trials": len(self.campaign),
         }
+        done: Dict[int, int] = {}
         folded: List[int] = []
         with open(tmp, "w", encoding="utf-8") as out:
-            out.write(json.dumps(header, sort_keys=True) + "\n")
-            for shard in foldable:
-                records = self.load_shard_records(shard)
+            out.write(encode_line(header) + "\n")
+            for shard, records in self._shard_records(self._compacted_ids()):
+                done[shard.shard_id] = len(records)
+                if len(records) < shard.n_trials:
+                    continue
                 for index in sorted(records):
-                    out.write(json.dumps(records[index], sort_keys=True) + "\n")
+                    out.write(encode_line(records[index]) + "\n")
                 folded.append(shard.shard_id)
             out.flush()
             os.fsync(out.fileno())
         os.replace(tmp, target)
-        index = self._load_index() or {
-            "kind": "fleet-index",
-            "fingerprint": self.fingerprint,
-            "shard_size": self.shard_size,
-            "shards": {},
-        }
-        index["compacted"] = sorted(folded)
-        _atomic_write_json(self.run_dir / self.INDEX, index)
+        self._write_index(folded, done)
         for shard in self.shards:
             if shard.shard_id in folded:
                 path = self.segment_path(shard)

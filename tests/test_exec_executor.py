@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import threading
 import time
 
 import pytest
@@ -13,6 +14,7 @@ from repro.exec import (
     Campaign,
     ExecPolicy,
     TrialTimeout,
+    WorkerPool,
     default_jobs,
     run_campaign,
 )
@@ -43,6 +45,14 @@ def crashing_trial(cfg, seed):
     if seed == cfg["crash_seed"]:
         os._exit(3)
     return seed + 1
+
+
+def pid_trial(cfg, seed):
+    if seed == cfg.get("exit_after_seed"):
+        # The worker dies after sending this result: its pool breaks
+        # while idle, between two calls.
+        threading.Timer(0.2, os._exit, args=(3,)).start()
+    return os.getpid()
 
 
 def _campaign(fn, cfg, trials, **kwargs):
@@ -133,8 +143,16 @@ class TestTimeout:
 
 
 class TestCrashRecovery:
-    @pytest.mark.parametrize("batch", [1, 4])
-    def test_retry_exhaustion_marks_trial_crashed(self, batch):
+    @pytest.mark.parametrize(
+        "batch, owned",
+        [
+            pytest.param(1, False, id="1"),
+            pytest.param(4, False, id="4"),
+            pytest.param(1, True, id="1-pool"),
+            pytest.param(4, True, id="4-pool"),
+        ],
+    )
+    def test_retry_exhaustion_marks_trial_crashed(self, batch, owned):
         campaign = _campaign(
             crashing_trial,
             {"crash_seed": 12},
@@ -142,19 +160,26 @@ class TestCrashRecovery:
             seed_mode="arithmetic",
             base_seed=10,
         )
-        result = run_campaign(
-            campaign, ExecPolicy(jobs=2, max_retries=1, batch=batch)
-        )
-        by_seed = {r.seed: r for r in result.records}
-        crashed = by_seed[12]
-        assert crashed.status == "crashed"
-        assert crashed.attempts == 2  # initial attempt + one retry
-        assert "retries exhausted" in crashed.error
-        # The surviving trials -- group-mates of the crasher included --
-        # still complete correctly.
-        assert result.values() == [11, 12, 14]
-        assert result.metrics.pool_restarts >= 1
-        assert result.metrics.retried >= 1
+        policy = ExecPolicy(jobs=2, max_retries=1, batch=batch)
+        with WorkerPool(2) as pool:
+            result = run_campaign(campaign, policy, pool=pool if owned else None)
+            by_seed = {r.seed: r for r in result.records}
+            crashed = by_seed[12]
+            assert crashed.status == "crashed"
+            assert crashed.attempts == 2  # initial attempt + one retry
+            assert "retries exhausted" in crashed.error
+            assert [r.seed for r in result.failures()] == [12]
+            # The surviving trials -- group-mates of the crasher included --
+            # still complete correctly.
+            assert result.values() == [11, 12, 14]
+            assert result.metrics.pool_restarts >= 1
+            assert result.metrics.retried >= 1
+            if owned:
+                # The pool the crash broke serves the caller's next call.
+                again = _campaign(rng_trial, {"bound": 100, "n": 4}, trials=6)
+                reused = run_campaign(again, policy, pool=pool)
+                assert reused.ok
+                assert reused.values() == run_campaign(again).values()
 
     def test_zero_retries_gives_up_after_first_crash(self):
         campaign = _campaign(
@@ -168,6 +193,46 @@ class TestCrashRecovery:
         crashed = [r for r in result.records if r.status == "crashed"]
         assert len(crashed) == 1
         assert crashed[0].attempts == 1
+
+
+class TestWorkerPool:
+    def test_forks_lazily_and_once_across_calls(self, monkeypatch):
+        forks = []
+
+        class CountingPool(executor_mod.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                forks.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", CountingPool)
+        campaign = _campaign(rng_trial, {"bound": 100, "n": 4}, trials=6)
+        serial = run_campaign(campaign).values()
+        with WorkerPool(2) as pool:
+            assert forks == []
+            for batch in (1, 2, 4):
+                result = run_campaign(
+                    campaign, ExecPolicy(jobs=2, batch=batch), pool=pool
+                )
+                assert result.values() == serial
+        assert forks == [2]
+
+    def test_reused_pool_survives_idle_worker_death(self):
+        dies = _campaign(
+            pid_trial, {"exit_after_seed": 1}, trials=2,
+            seed_mode="arithmetic", base_seed=0,
+        )
+        healthy = _campaign(pid_trial, {}, trials=4)
+        with WorkerPool(2) as pool:
+            assert run_campaign(dies, ExecPolicy(jobs=2), pool=pool).ok
+            time.sleep(1.0)  # a worker exits while the pool is idle
+            result = run_campaign(healthy, ExecPolicy(jobs=2), pool=pool)
+        assert result.ok
+        # Served by a fresh fork, not the in-process serial fallback.
+        assert os.getpid() not in result.values()
+
+    def test_non_positive_jobs_rejected(self):
+        with pytest.raises(ValueError):
+            WorkerPool(0)
 
 
 class TestSerialFallback:

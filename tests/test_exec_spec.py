@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
@@ -14,7 +15,9 @@ from repro.exec import (
     dataclass_codec,
     seed_stream,
 )
+from repro.defenses.matrix import DefenseTrialSample
 from repro.exec.spec import stable_repr
+from repro.fleet.campaigns import NoiseWindowSample
 
 
 def toy_trial(cfg, seed):
@@ -117,6 +120,25 @@ class TestDataclassCodec:
         encoded = codec.encode(sample)
         assert isinstance(encoded, dict)
         assert codec.decode(encoded) == sample
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            NoiseWindowSample(events=2, survived=False, rate_per_ms=11.5),
+            ConstructionSample(True, False, 3.25, 7, 1, 42),
+            DefenseTrialSample(
+                defense="ceaser", n_evsets=3, valid_evsets=2,
+                construct_rate=0.5, monitor_accuracy=0.875, error="",
+            ),
+        ],
+        ids=lambda sample: type(sample).__name__,
+    )
+    def test_encode_equals_asdict(self, sample):
+        # Every journaled result type: the field-tuple encoder must give
+        # exactly what dataclasses.asdict gives.
+        codec = dataclass_codec(type(sample))
+        assert codec.encode(sample) == dataclasses.asdict(sample)
+        assert codec.decode(codec.encode(sample)) == sample
 
     def test_rejects_non_dataclass(self):
         with pytest.raises(TypeError):

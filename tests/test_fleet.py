@@ -9,21 +9,27 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
+import os
 import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
+import repro.fleet.scheduler as scheduler_mod
+import repro.fleet.store as store_mod
 from repro.analysis.streaming import (
     CampaignAggregate,
     StreamingMoments,
     aggregate_values,
 )
-from repro.exec import ExecPolicy, run_campaign
+from repro.exec import ExecPolicy, WorkerPool, run_campaign
+from repro.exec import executor as executor_mod
 from repro.exec.journal import CampaignJournal
 from repro.fleet import (
     Datacenter,
@@ -49,6 +55,14 @@ def _campaign(trials=100, seed=7):
 
 def sleepy_trial(cfg, seed):
     # Module level: with a timeout, shard trials run in worker processes.
+    if seed == cfg["slow_seed"]:
+        time.sleep(cfg["sleep_s"])
+    return {"seed": seed}
+
+
+def dying_trial(cfg, seed):
+    if seed == cfg["crash_seed"]:
+        os._exit(3)
     if seed == cfg["slow_seed"]:
         time.sleep(cfg["sleep_s"])
     return {"seed": seed}
@@ -93,13 +107,26 @@ class TestSharding:
 
 
 class TestStoreAndResume:
-    def test_fleet_matches_serial_run_campaign(self, tmp_path):
+    def test_fleet_matches_serial_run_campaign(self, tmp_path, monkeypatch):
+        forks = []
+
+        class CountingPool(executor_mod.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                forks.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", CountingPool)
         campaign = _campaign(trials=300)
         policy = FleetPolicy(
             shard_size=64, max_inflight=3, jobs_per_shard=2, batch=16
         )
         report, store = run_fleet(campaign, tmp_path, policy)
         assert report.complete and report.failed_trials == 0
+        # Five shards, but each shard coroutine forks one pool and reuses
+        # it; the pools are closed when the run returns.
+        assert report.shards_executed == 5
+        assert 1 <= len(forks) <= policy.max_inflight
+        assert multiprocessing.active_children() == []
         fleet_values = [v for _, v in store.iter_values()]
         assert fleet_values == _serial_values(campaign)
 
@@ -148,7 +175,7 @@ class TestStoreAndResume:
         fleet_values = [v for _, v in store.iter_values()]
         assert fleet_values == _serial_values(campaign)
 
-    def test_compaction_round_trip(self, tmp_path):
+    def test_compaction_round_trip(self, tmp_path, monkeypatch):
         campaign = _campaign(trials=120)
         _, store = run_fleet(campaign, tmp_path, FleetPolicy(shard_size=32))
         before = dict(store.iter_completed())
@@ -161,6 +188,23 @@ class TestStoreAndResume:
         after = dict(store.iter_completed())
         assert after == before
         assert store.completed_trials() == 120
+        # A compacted store reads in one pass: each compacted line and
+        # index.json are parsed once, not once per shard.
+        calls = []
+        loads = json.loads
+
+        def counting_loads(*args, **kwargs):
+            calls.append(1)
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(store_mod.json, "loads", counting_loads)
+        bound = len(campaign) + len(store.shards) + 2
+        for read in (lambda: dict(store.iter_completed()) == before,
+                     lambda: store.completed_trials() == 120):
+            calls.clear()
+            assert read()
+            assert 0 < len(calls) <= bound
+        monkeypatch.undo()
         # Compacting again (nothing new) is a no-op for readers.
         store.compact()
         assert dict(store.iter_completed()) == before
@@ -268,6 +312,55 @@ class TestScheduler:
         # The successful trials are durable despite the failures.
         ok = dict(store.iter_completed())
         assert all(obj["seed"] % 3 != 0 for obj in ok.values())
+
+    def test_worker_death_fails_only_its_trial(self, tmp_path, monkeypatch):
+        from repro.exec.spec import Campaign
+
+        served = {}  # pool -> the executors it handed out, kept alive
+
+        class RecordingPool(WorkerPool):
+            def get(self):
+                executor = super().get()
+                executors = served.setdefault(id(self), [])
+                if executor not in executors:
+                    executors.append(executor)
+                return executor
+
+        monkeypatch.setattr(scheduler_mod, "WorkerPool", RecordingPool)
+        # Seed 3 kills its worker in shard 0; seed 12 holds the other
+        # shard coroutine in shard 1, so the coroutine whose pool broke
+        # runs the later shards.
+        cfg = {"crash_seed": 3, "slow_seed": 12, "sleep_s": 2.0}
+        campaign = Campaign.build(
+            "dying", dying_trial, cfg, trials=40,
+            seed_mode="arithmetic", base_seed=0,
+        )
+        policy = FleetPolicy(
+            shard_size=8, jobs_per_shard=2, max_inflight=2,
+            trial_retries=0, shard_retries=0,
+        )
+        # Bounded: a pool that misses its worker's death never returns.
+        box = {}
+        runner = threading.Thread(
+            target=lambda: box.update(out=run_fleet(campaign, tmp_path, policy)),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "fleet run hung after a worker died"
+        report, store = box["out"]
+        assert report.shards_executed == 5
+        assert report.failed_trials == 1 and report.shards_failed == 1
+        # Every other trial is durable and equals the serial value.
+        reference = Campaign.build(
+            "dying", dying_trial, {"crash_seed": -1, "slow_seed": -1},
+            trials=40, seed_mode="arithmetic", base_seed=0,
+        )
+        expected = dict(enumerate(_serial_values(reference)))
+        del expected[3]
+        assert dict(store.iter_values()) == expected
+        # The broken pool was replaced by a fresh fork for later shards.
+        assert max(len(executors) for executors in served.values()) == 2
 
     def test_timeout_enforced_on_shard_threads(self, tmp_path):
         from repro.exec.spec import Campaign
