@@ -13,22 +13,23 @@ simulator itself across its three generations of hot path:
 * **kernels** — the same flat plane driven through the fused attack
   kernels and the translation plane (DESIGN.md §2.3), the default path
   under the serial RNG contract;
-* **vec** — the memo-replay kernels (DESIGN.md §2.7), legal only under
-  the event-keyed RNG contract (``rng_mode="counter"``): monitor rounds
-  whose pre-state was seen before replay as slice assignments instead
-  of re-simulating, bit-identical to the plain kernels on the same
-  counter-mode machine (asserted in-bench by digest);
+* **vec** — the memo-replay kernels (DESIGN.md §2.7), exact under both
+  RNG contracts: monitor rounds whose pre-state was seen before replay
+  as slice assignments instead of re-simulating, bit-identical to the
+  plain kernels on the same machine.  Measured once per contract, each
+  against a live ``AttackKernels`` control machine under that contract
+  (parity asserted in-bench by digest);
 * **batch** — chunked dispatch (DESIGN.md §2.6), measured at the
   campaign level: microsecond trials sent to the pool one per task vs.
   16 per task.
 
 All serial-mode paths run the same workloads and — because the kernels
 are bit-identical by construction — must produce the same eviction sets;
-the sanity asserts at the bottom enforce that.  The vec stage runs under
-the counter contract, so its outcomes are compared against a
-counter-mode kernels control machine instead.  Perf smokes gate CI: the
+the sanity asserts at the bottom enforce that.  The vec stage's outcomes
+are compared against its own kernels control machines instead (one per
+contract).  Perf smokes gate CI: the
 fused path must not regress below the batched one on the monitor loop,
-and the vec path must deliver >= 1.5x kernels accesses/sec.
+and the counter-mode vec path must deliver >= 1.5x kernels accesses/sec.
 
 ``--stages`` selects a comma-separated subset (``ref``/``reference``,
 ``batched``, ``kernels``, ``vec``, ``batch``, ``construct``) so CI quick
@@ -104,9 +105,9 @@ PAGE_OFFSET = 0x2C0
 #: The three serial-mode hot-path generations, oldest first.
 STAGES = ("reference", "batched", "kernels")
 
-#: Everything ``--stages`` can select (the serial paths plus the
-#: counter-mode vec path, campaign-level chunked dispatch, and the
-#: checkpoint + construct-memo repeat-trial stage).
+#: Everything ``--stages`` can select (the serial paths plus the vec
+#: path, campaign-level chunked dispatch, and the checkpoint +
+#: construct-memo repeat-trial stage).
 ALL_COMPONENTS = STAGES + ("vec", "batch", "construct")
 
 _STAGE_ALIASES = {"ref": "reference"}
@@ -230,10 +231,11 @@ def _bench_accesses(quick: bool, hot, want_vec: bool):
     interleaving the implementations round-robin and taking each side's
     best round keeps the ratios honest under that noise.
 
-    ``want_vec`` adds two counter-mode machines: the vec path under
-    measurement and a plain-kernels control running the identical
-    workload; their machine digests must match at the end (replay parity,
-    asserted here so the perf number can never outrun correctness).
+    ``want_vec`` adds, under each RNG contract, two machines: the vec
+    path under measurement and a plain-kernels control running the
+    identical workload; their machine digests must match at the end
+    (replay parity, asserted here so the perf number can never outrun
+    correctness).
     """
     rounds = 2 if quick else 4
     reps = 40 if quick else 300
@@ -254,10 +256,14 @@ def _bench_accesses(quick: bool, hot, want_vec: bool):
                 _kernels_runner(AttackKernels)
             )
     if want_vec:
-        for name, kcls in (("kernels_counter", AttackKernels),
-                           ("vec", VecKernels)):
+        for name, kcls, rng_mode in (
+            ("kernels_counter", AttackKernels, "counter"),
+            ("vec", VecKernels, "counter"),
+            ("kernels_serial", AttackKernels, "serial"),
+            ("vec_serial", VecKernels, "serial"),
+        ):
             machines[name], evsets[name], runners[name] = (
-                _kernels_runner(kcls, rng_mode="counter")
+                _kernels_runner(kcls, rng_mode)
             )
     assert len({tuple(e) for e in evsets.values()}) <= 1, (
         "parity violation: address maps differ"
@@ -267,10 +273,12 @@ def _bench_accesses(quick: bool, hot, want_vec: bool):
         for name, runner in runners.items():
             best[name] = max(best[name], runner(reps))
     if want_vec:
-        assert (machine_digest(machines["vec"])
-                == machine_digest(machines["kernels_counter"])), (
-            "parity violation: vec replay diverged from counter-mode kernels"
-        )
+        for vec, control in (("vec", "kernels_counter"),
+                             ("vec_serial", "kernels_serial")):
+            assert (machine_digest(machines[vec])
+                    == machine_digest(machines[control])), (
+                f"parity violation: {vec} replay diverged from {control}"
+            )
     return best, machines
 
 
@@ -657,6 +665,11 @@ def run_perf(
             "speedup_vs_counter_kernels": (
                 best_acc["vec"] / best_acc["kernels_counter"]
             ),
+            "serial_accesses_per_sec": best_acc["vec_serial"],
+            "serial_kernels_accesses_per_sec": best_acc["kernels_serial"],
+            "speedup_vs_serial_kernels": (
+                best_acc["vec_serial"] / best_acc["kernels_serial"]
+            ),
         }
         if "kernels" in results:
             vec_results["speedup_vs_kernels"] = (
@@ -702,6 +715,12 @@ def run_perf(
             print(
                 f"vec (rng=counter): {best_acc['vec']:,.0f} accesses/sec "
                 f"= {base:.2f}x kernels"
+            )
+            print(
+                f"vec (rng=serial): {best_acc['vec_serial']:,.0f} "
+                f"accesses/sec = "
+                f"{vec_results['speedup_vs_serial_kernels']:.2f}x its live "
+                f"serial kernels control"
             )
 
     batch_results = None
@@ -817,9 +836,8 @@ def run_perf(
     # Sanity checks.  Cross-implementation speedups carry no threshold
     # (CI runners are too noisy), but all measured serial-mode paths
     # must agree on every *outcome* — the kernels are bit-identical by
-    # contract.  (The vec stage runs under the counter contract; its
-    # parity is asserted against the counter-mode kernels control inside
-    # _bench_accesses.)
+    # contract.  (The vec stage's parity is asserted against its kernels
+    # control machines inside _bench_accesses.)
     for metrics in results.values():
         assert metrics["accesses_per_sec"] > 0
         assert math.isfinite(metrics["trial_seconds"])

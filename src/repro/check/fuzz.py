@@ -2,8 +2,8 @@
 
 The repository stacks three execution tiers that all promise bit-identical
 trials: the seed *reference* simulator (``repro.memsys._reference``), the
-flat *batched* data plane (§2.2), and the fused *kernels* (§2.3; on
-counter-RNG traces that is the memo-replay ``VecKernels`` bundle, §2.7).
+flat *batched* data plane (§2.2), and the fused *kernels* (§2.3; the
+memo-replay ``VecKernels`` bundle, §2.7).
 The parity suites pin a handful of hand-picked scenarios; this module
 *searches* for divergence instead:
 

@@ -200,7 +200,7 @@ class MachineConfig:
     #: consumed in strict access order — the historical contract, pinned
     #: by the existing goldens) or "counter" (event-keyed draws, pure in
     #: ``(seed, stream, event key)`` — order-independent, which legalizes
-    #: the vectorized memo-replay tier; see DESIGN.md §2.7).
+    #: the construct-test memo-replay; see DESIGN.md §2.7).
     #: The two modes produce different — both valid — trial outcomes.
     rng_mode: str = "serial"
 

@@ -17,7 +17,7 @@ from .._util import make_rng, median, spawn_rng
 from ..config import LINE_BYTES, LINES_PER_PAGE, PAGE_BYTES
 from ..errors import ConfigurationError
 from ..memsys import kernels as kernelmod
-from ..memsys.kernels import AttackKernels, PlaneRows, TranslationPlane
+from ..memsys.kernels import PlaneRows, TranslationPlane
 from ..memsys.machine import Machine
 from ..memsys.vec import VecKernels
 
@@ -53,7 +53,7 @@ class AttackerContext:
         self._lines: Dict[int, int] = {}
         self._lines_memo: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self._plane = TranslationPlane(machine.hierarchy, self.line)
-        self._kernels: Optional[AttackKernels] = None
+        self._kernels: Optional[VecKernels] = None
         self._pool: List[int] = []  # unused mapped pages
         # Thresholds start from the architectural defaults; calibrate()
         # replaces them with measured values.
@@ -112,27 +112,22 @@ class AttackerContext:
         """Eagerly warm the translation plane for a candidate pool."""
         self._plane.warm(vas)
 
-    def kernels(self) -> Optional[AttackKernels]:
+    def kernels(self) -> Optional[VecKernels]:
         """The machine's kernel bundle, or None for the unfused path.
 
-        One bundle per machine (a lazy singleton):
-        :class:`~repro.memsys.vec.VecKernels` on counter-RNG machines —
-        identical results, with monitor rounds and construction tests
-        memo-replayed (legal only under the event-keyed draw contract;
-        see DESIGN.md) — and :class:`AttackKernels` everywhere else.
-        None inside :func:`~repro.memsys.kernels_disabled` and whenever
-        the bundle does not engage (duck-typed or defended caches).
+        One bundle per machine (a lazy singleton): a
+        :class:`~repro.memsys.vec.VecKernels` under either RNG contract —
+        identical results, with steady-state monitor rounds memo-replayed
+        and, on counter-RNG machines, construction tests too (see
+        DESIGN.md §2.7).  None inside :func:`~repro.memsys.kernels_disabled`
+        and whenever the bundle does not engage (duck-typed or defended
+        caches).
         """
         if not kernelmod.KERNELS_ENABLED:
             return None
         kernels = self._kernels
         if kernels is None:
-            cls = (
-                VecKernels
-                if getattr(self.machine.hierarchy, "crng", None) is not None
-                else AttackKernels
-            )
-            kernels = self._kernels = cls(
+            kernels = self._kernels = VecKernels(
                 self.machine, self._plane, self.main_core, self.helper_core
             )
         return kernels if kernels.engaged() else None
@@ -142,7 +137,7 @@ class AttackerContext:
         self._lines.clear()
         self._lines_memo.clear()
         self._plane.invalidate()
-        if isinstance(self._kernels, VecKernels):
+        if self._kernels is not None:
             self._kernels.invalidate_memos()
 
     # -- Ground-truth inspection (experiment harness only, not attack logic) ----

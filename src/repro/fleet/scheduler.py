@@ -15,7 +15,9 @@ over the existing process-pool executor:
 * finished-shard summaries pass through a **bounded results queue** to
   the consumer, which accounts them in the run report and the progress
   reporter — a slow consumer therefore stalls dispatch instead of
-  piling results in memory (per-shard backpressure);
+  piling results in memory (per-shard backpressure), and an
+  ``on_shard`` callback that raises stops dispatch, closes the pools and
+  propagates out of :meth:`FleetScheduler.run`;
 * a shard whose workers crashed retries with exponential backoff
   (``shard_retries`` / ``retry_backoff_s``) before its failures stand;
 * :meth:`FleetScheduler.request_drain` stops new dispatch, finishes
@@ -333,7 +335,20 @@ class FleetScheduler:
                     asyncio.create_task(worker(workers)) for workers in pools
                 ]
                 consumer_task = asyncio.create_task(consumer())
-                await asyncio.gather(feeder_task, *worker_tasks)
+                producers = asyncio.gather(feeder_task, *worker_tasks)
+                await asyncio.wait(
+                    (producers, consumer_task),
+                    return_when=asyncio.FIRST_COMPLETED,
+                )
+                if consumer_task.done():
+                    # The consumer stops early only by raising (an
+                    # ``on_shard`` callback): its workers would block on
+                    # the full results queue forever, so stop dispatch and
+                    # re-raise.
+                    producers.cancel()
+                    await asyncio.gather(producers, return_exceptions=True)
+                    consumer_task.result()
+                await producers
                 await results.put(None)
                 await consumer_task
         finally:

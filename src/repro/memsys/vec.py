@@ -1,19 +1,17 @@
-"""Memo-replay kernels — the counter-RNG vec tier.
+"""Memo-replay kernels — the vec tier.
 
 :class:`VecKernels` extends :class:`~repro.memsys.kernels.AttackKernels`
 with a round-level memoization of ``_monitor_round``, the Prime+Probe hot
 loop, and a test-level memoization of ``test_eviction_kernel`` (see the
 construction-test section below).  It is the kernel bundle of every
-counter-RNG machine (:meth:`repro.core.context.AttackerContext.kernels`).
-Under the serial RNG contract this optimization is illegal: whether a round
-draws noise depends on the *order* of every draw before it, so no two rounds
-are ever provably alike.  Under the counter (event-keyed) contract each
-noise window's draw is a pure function of ``(structure, set, old_clock)``
-— it can be computed *without consuming anything*, which turns "will this
-round be disturbed?" into a cheap, side-effect-free precondition.
+machine (:meth:`repro.core.context.AttackerContext.kernels`).
 
-The steady-state monitor round (every line hits L1/L2, no noise due, no
-machine events) is a pure function of a small, enumerable state slice:
+A monitor round starts the way the live round does, and runs those steps
+live on both paths: drain the machine events that are due, then reconcile
+background noise on the congruent set.  The round's remaining work is a
+walk over the eviction set.  In the steady state every line hits L1/L2;
+that walk draws no randomness and is a pure function of a small,
+enumerable state slice:
 
 * the L1 tag/owner/state plane of the touched sets (tree-PLRU bits are
   *read* on evictions, so they are validated raw),
@@ -30,9 +28,14 @@ stamps are replayed *relative* to the current global stamp counter
 untouched slots keep drifting absolute stamps between record and replay
 while the within-round write order is invariant.
 
-Preemption stays live in both paths (the serial preemption stream is part
-of the machine contract in every RNG mode), as does event draining: any
-pending machine event disables the replay path for that round.
+The walk's only neighbours that draw — the reconcile before it and the
+preemption penalty after it — run live on both paths, and an event that
+is pending but not yet due cannot touch a hit walk (``advance()`` runs it
+after the walk on both paths).  So replay consumes every RNG stream
+exactly as the live round does, under the serial and the counter
+contract alike.  The construction-test memo is different: a test draws
+in the middle of its state changes, so it needs the counter contract and
+engages only on counter-RNG machines.
 
 With both memos switched off (:func:`vec_disabled` plus
 :func:`construct_memo_disabled`) a ``VecKernels`` runs exactly the
@@ -45,7 +48,6 @@ from contextlib import contextmanager
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..rng import S_NOISE_LLC, S_NOISE_SF
 from .hierarchy import _NOISE_TAG_BASE
 from .kernels import AttackKernels, PlaneRows
 from .policy_tables import TreePLRU8Table
@@ -156,13 +158,13 @@ class _RoundGeometry:
 
 
 class VecKernels(AttackKernels):
-    """Fused kernels with counter-mode memo-replay of monitor rounds and
-    construction tests.
+    """Fused kernels with memo-replay of monitor rounds and (counter
+    contract only) construction tests.
 
-    Engages only when the machine runs the counter RNG contract and the
-    touched structures have the shapes the replay understands (tree-PLRU8
-    L1, LRU L2/SF — the default microarchitecture); anything else falls
-    back to the inherited live kernels, bit for bit.
+    Engages only when the touched structures have the shapes the replay
+    understands (tree-PLRU8 L1, LRU L2/SF — the default
+    microarchitecture); anything else falls back to the inherited live
+    kernels, bit for bit.
     """
 
     #: Bound on distinct (vas, count, write) round shapes kept.
@@ -197,12 +199,9 @@ class VecKernels(AttackKernels):
         self._cmemo.clear()
 
     def _vec_shapes_ok(self) -> bool:
+        if not self.engaged():
+            return False
         hier = self.hierarchy
-        if getattr(hier, "crng", None) is None or not self.engaged():
-            return False
-        noise = hier.noise_source
-        if noise is not None and noise.crng is None:
-            return False
         l1 = hier.l1[self.main_core]
         l2 = hier.l2[self.main_core]
         return (
@@ -217,37 +216,21 @@ class VecKernels(AttackKernels):
         ok = self._vec_ok
         if ok is None:
             ok = self._vec_ok = self._vec_shapes_ok()
-        if not ok or not VEC_ENABLED or not count or m._events:
+        if not ok or not VEC_ENABLED or not count:
             return super()._monitor_round(rows, count, write)
+        # The live round's first steps, live on both paths (the recorded
+        # path's repeat of them inside the live round is a no-op).
+        events = m._events
+        if events and events[0][0] <= m.now:
+            m._drain_events()
         hier = self.hierarchy
-        now = m.now
         noise = hier.noise_source
-        sf = hier.sf
-        sidx0 = rows.shared_sets[0]
         if noise is not None:
-            # Keyed draws are pure: peek at what reconciliation *would*
-            # draw for the current windows without consuming or advancing
-            # anything.  Nonzero means the round mutates shared state in
-            # a data-dependent way — run it live (the live path re-derives
-            # the identical draws, so nothing is lost or double-counted).
-            crng = noise.crng
-            rate = noise._sf_rate
-            if rate > 0.0:
-                old = sf._noise_t[sidx0]
-                if now > old and crng.noise_poisson(
-                    S_NOISE_SF, sidx0, old, rate * (now - old)
-                ):
-                    return super()._monitor_round(rows, count, write)
-            rate = noise._llc_rate
-            if rate > 0.0:
-                old = hier.llc._noise_t[sidx0]
-                if now > old and crng.noise_poisson(
-                    S_NOISE_LLC, sidx0, old, rate * (now - old)
-                ):
-                    return super()._monitor_round(rows, count, write)
+            noise.reconcile(hier, rows.shared_sets[0], m.now)
         core = self.main_core
         l1 = hier.l1[core]
         l2 = hier.l2[core]
+        sf = hier.sf
         key = (rows.vas, count, write)
         vmemo = self._vmemo
         geom = vmemo.get(key)
@@ -268,9 +251,7 @@ class VecKernels(AttackKernels):
         )
         rec = geom.entries.get(pre)
         if rec is not None:
-            return self._replay(
-                m, hier, noise, l1, l2, sf, sidx0, now, count, geom, rec
-            )
+            return self._replay(m, hier, l1, l2, sf, count, geom, rec)
         return self._record(m, rows, count, write, geom, pre, l1, l2, sf)
 
     def _record(self, m, rows, count: int, write: bool, geom, pre,
@@ -384,16 +365,8 @@ class VecKernels(AttackKernels):
         )
         return ret
 
-    def _replay(self, m, hier, noise, l1, l2, sf, sidx0: int, now: int,
-                count: int, geom, rec) -> int:
+    def _replay(self, m, hier, l1, l2, sf, count: int, geom, rec) -> int:
         """Apply a recorded pure round: O(touched slots), no per-line work."""
-        if noise is not None:
-            # Mirror reconcile's clock exchange for the (verified zero)
-            # noise windows — marks the sets touched and floors the clocks.
-            if noise._sf_rate > 0.0:
-                sf.exchange_noise_clock(sidx0, now)
-            if noise._llc_rate > 0.0:
-                hier.llc.exchange_noise_clock(sidx0, now)
         m.batch_calls += 1
         m.batch_lines += count
         tags = l1._tags
@@ -479,9 +452,12 @@ class VecKernels(AttackKernels):
         keep per-set counters inside the policy table; the default
         geometry (tree-PLRU8 L1, LRU L2/SF/LLC) has none.
         """
-        if not self._vec_shapes_ok():
-            return False
         hier = self.hierarchy
+        if getattr(hier, "crng", None) is None or not self._vec_shapes_ok():
+            return False
+        noise = hier.noise_source
+        if noise is not None and noise.crng is None:
+            return False
         if hier.llc._lru is None:
             return False
         for cache in (*hier.l1, *hier.l2, hier.sf, hier.llc):

@@ -19,21 +19,26 @@ order.  These suites pin that promise:
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import math
 
 import pytest
 
-from tests._parity import _h, _machine_digest
+from tests._parity import (
+    PATHS,
+    _congruent_evset,
+    _h,
+    _machine_digest,
+    _path_guard,
+    _schedule_victim,
+    _victim_line,
+)
 
 from repro.config import cloud_run_noise, no_noise, skylake_sp_small
 from repro.core.context import AttackerContext
 from repro.core.evset.candidates import build_candidate_set
 from repro.core.evset.primitives import EvictionTester
-from repro.core.evset.types import EvictionSet
 from repro.core.monitor import ParallelProbing, PrimeScopeFlush, monitor_set
-from repro.memsys import construct_memo_disabled, kernels_disabled, vec_disabled
 from repro.memsys.machine import Machine
 from repro.memsys.vec import VecKernels
 from repro.rng import (
@@ -49,23 +54,6 @@ from repro.rng import (
 
 def _counter_cfg():
     return dataclasses.replace(skylake_sp_small(), rng_mode="counter")
-
-
-@contextlib.contextmanager
-def _path_guard(path: str):
-    """unfused -> no kernels; kernels -> the VecKernels bundle with both
-    memos off (live rounds and tests); vec -> the default resolution."""
-    if path == "unfused":
-        with kernels_disabled():
-            yield
-    elif path == "kernels":
-        with vec_disabled(), construct_memo_disabled():
-            yield
-    else:
-        yield
-
-
-PATHS = ["unfused", "kernels", "vec"]
 
 
 # --- TestEviction parity ----------------------------------------------------
@@ -107,29 +95,9 @@ def _monitor_run(strategy_cls, path: str, seed: int = 31) -> dict:
     ctx = AttackerContext(machine, seed=3)
     with _path_guard(path):
         ctx.calibrate()
-        target_va = ctx.alloc_pages(1)[0] + 0x2C0
-        tset = machine.hierarchy.shared_set_index(ctx.line(target_va))
-        vas = []
-        while len(vas) < machine.cfg.sf.ways:
-            for page in ctx.alloc_pages(32):
-                va = page + 0x2C0
-                if machine.hierarchy.shared_set_index(ctx.line(va)) == tset:
-                    vas.append(va)
-        evset = EvictionSet(
-            kind="sf", vas=vas[: machine.cfg.sf.ways], target_va=target_va
-        )
-        space = machine.new_address_space()
-        while True:
-            line = space.translate_line(space.alloc_page() + 0x2C0)
-            if machine.hierarchy.shared_set_index(line) == tset:
-                break
+        evset, tset = _congruent_evset(ctx, "sf", machine.cfg.sf.ways)
         interval = 20_000
-        for i in range(15):
-            machine.schedule(
-                machine.now + 3_000 + i * interval,
-                lambda t, line=line: machine.hierarchy.access(
-                    3, line, t, write=True),
-            )
+        _schedule_victim(machine, _victim_line(machine, tset), 15, interval)
         trace = monitor_set(
             strategy_cls(ctx, evset), duration_cycles=15 * interval + 30_000
         )
@@ -150,24 +118,30 @@ def test_monitor_four_way_parity(strategy_cls):
     assert runs["kernels"] == runs["unfused"]
 
 
-def test_vec_replay_actually_engages():
+@pytest.mark.parametrize("rng_mode", ["serial", "counter"])
+def test_vec_replay_actually_engages(rng_mode, monkeypatch):
     """The memo-replay path must fire on the steady-state monitor loop
-    (otherwise the vec tier silently degenerates to live kernels and the
-    parity above proves nothing about replay)."""
-    machine = Machine(_counter_cfg(), noise=cloud_run_noise(), seed=31)
+    under either RNG contract, with a victim event pending the whole
+    window (otherwise the vec tier silently degenerates to live kernels
+    and the parity suites prove nothing about replay)."""
+    replays = []
+    replay = VecKernels._replay
+
+    def counted(self, *args):
+        replays.append(1)
+        return replay(self, *args)
+
+    monkeypatch.setattr(VecKernels, "_replay", counted)
+    cfg = dataclasses.replace(skylake_sp_small(), rng_mode=rng_mode)
+    machine = Machine(cfg, noise=cloud_run_noise(), seed=31)
     ctx = AttackerContext(machine, seed=3)
     ctx.calibrate()
-    kern = ctx.kernels()
-    assert type(kern) is VecKernels
-    cand = build_candidate_set(ctx, 0x2C0, size=machine.cfg.sf.ways)
-    evset = EvictionSet(
-        kind="sf", vas=list(cand.vas[:-1]), target_va=cand.vas[-1]
-    )
-    monitor_set(ParallelProbing(ctx, evset), duration_cycles=200_000)
-    replayed = sum(
-        len(geom.entries) > 0 for geom in kern._vmemo.values()
-    )
-    assert kern._vmemo and replayed > 0
+    evset, tset = _congruent_evset(ctx, "sf", machine.cfg.sf.ways)
+    interval = 20_000
+    _schedule_victim(machine, _victim_line(machine, tset), 12, interval)
+    monitor_set(ParallelProbing(ctx, evset), duration_cycles=10 * interval)
+    assert machine.pending_events(), "the victim must outlive the window"
+    assert replays
 
 
 # --- Reference tier (fuzz oracle) -------------------------------------------

@@ -362,6 +362,39 @@ class TestScheduler:
         # The broken pool was replaced by a fresh fork for later shards.
         assert max(len(executors) for executors in served.values()) == 2
 
+    def test_failing_callback_raises_instead_of_hanging(self, tmp_path):
+        campaign = _campaign(trials=200)
+        policy = FleetPolicy(
+            shard_size=10, max_inflight=2, jobs_per_shard=2, result_buffer=1
+        )
+        store = FleetStore(tmp_path, campaign, policy.shard_size)
+        store.write_meta()
+        seen = []
+
+        def broken(outcome):
+            seen.append(outcome.shard.shard_id)
+            raise RuntimeError("callback failed")
+
+        scheduler = FleetScheduler(campaign, store, policy, on_shard=broken)
+        box = {}
+
+        def target():
+            try:
+                asyncio.run(scheduler.run())
+            except Exception as exc:  # noqa: BLE001 - inspected below
+                box["exc"] = exc
+
+        # Bounded: the workers of a dead consumer block on the full
+        # results queue, so an unfixed run never returns.
+        runner = threading.Thread(target=target, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "fleet run hung after on_shard raised"
+        assert isinstance(box.get("exc"), RuntimeError)
+        assert str(box["exc"]) == "callback failed"
+        assert len(seen) == 1
+        assert multiprocessing.active_children() == []
+
     def test_timeout_enforced_on_shard_threads(self, tmp_path):
         from repro.exec.spec import Campaign
 

@@ -29,7 +29,15 @@ import dataclasses
 
 import pytest
 
-from tests._parity import _h, _machine_digest
+from tests._parity import (
+    PATHS,
+    _congruent_evset,
+    _h,
+    _machine_digest,
+    _path_guard,
+    _schedule_victim,
+    _victim_line,
+)
 
 from repro.check.fuzz import _reference_cache_swap
 from repro.config import cloud_run_noise, no_noise, skylake_sp_small
@@ -38,10 +46,9 @@ from repro.core.evset import EvsetConfig
 from repro.core.evset.candidates import build_candidate_set
 from repro.core.evset.filtering import build_l2_eviction_set
 from repro.core.evset.primitives import EvictionTester
-from repro.core.evset.types import EvictionSet
 from repro.core.monitor import ParallelProbing, PrimeScopeFlush, monitor_set
 from repro.memsys import kernels_disabled
-from repro.memsys.kernels import KERNELS_ENABLED, AttackKernels
+from repro.memsys.kernels import KERNELS_ENABLED
 from repro.memsys.machine import Machine
 from repro.memsys.vec import VecKernels
 
@@ -92,10 +99,9 @@ def test_kernels_disabled_context_forces_unfused():
     tester = _resolved(skylake_sp_small())
     with kernels_disabled():
         assert tester._kernels() is None
-    # One bundle per machine: plain kernels under the serial contract,
-    # the memo-replay bundle under the counter contract, none at all on
-    # the duck-typed reference caches.
-    assert type(tester._kernels()) is AttackKernels
+    # One bundle per machine: the memo-replay bundle under either RNG
+    # contract, none at all on the duck-typed reference caches.
+    assert type(tester._kernels()) is VecKernels
     counter = dataclasses.replace(skylake_sp_small(), rng_mode="counter")
     assert type(_resolved(counter)._kernels()) is VecKernels
     assert _resolved(skylake_sp_small(), reference=True)._kernels() is None
@@ -111,41 +117,15 @@ def test_reference_cache_disengages_kernels():
 # --- Monitor parity ---------------------------------------------------------
 
 
-def _congruent_evset(ctx: AttackerContext, kind: str, n: int, offset: int = 0x2C0):
-    """Assemble an eviction set from known-congruent lines (no pruning)."""
-    machine = ctx.machine
-    target_va = ctx.alloc_pages(1)[0] + offset
-    tset = machine.hierarchy.shared_set_index(ctx.line(target_va))
-    vas = []
-    while len(vas) < n:
-        for page in ctx.alloc_pages(32):
-            va = page + offset
-            if machine.hierarchy.shared_set_index(ctx.line(va)) == tset:
-                vas.append(va)
-    return EvictionSet(kind=kind, vas=vas[:n], target_va=target_va), tset
-
-
-def _monitor_run(strategy_cls, fused: bool) -> dict:
+def _monitor_run(strategy_cls, path: str) -> dict:
     machine = Machine(skylake_sp_small(), noise=cloud_run_noise(), seed=31)
     ctx = AttackerContext(machine, seed=3)
     ctx.calibrate()
     evset, tset = _congruent_evset(ctx, "sf", machine.cfg.sf.ways)
     # A victim on another core hammers the monitored set.
-    space = machine.new_address_space()
-    while True:
-        line = space.translate_line(space.alloc_page() + 0x2C0)
-        if machine.hierarchy.shared_set_index(line) == tset:
-            break
     interval = 20_000
-    for i in range(15):
-        machine.schedule(
-            machine.now + 3_000 + i * interval,
-            lambda t, line=line: machine.hierarchy.access(3, line, t, write=True),
-        )
-    import contextlib
-
-    guard = contextlib.nullcontext() if fused else kernels_disabled()
-    with guard:
+    _schedule_victim(machine, _victim_line(machine, tset), 15, interval)
+    with _path_guard(path):
         trace = monitor_set(
             strategy_cls(ctx, evset), duration_cycles=15 * interval + 30_000
         )
@@ -161,7 +141,42 @@ def _monitor_run(strategy_cls, fused: bool) -> dict:
     ids=["parallel", "prime-scope"],
 )
 def test_monitor_parity(strategy_cls):
-    assert _monitor_run(strategy_cls, True) == _monitor_run(strategy_cls, False)
+    """Unfused, live-kernel and memo-replayed rounds agree bit for bit."""
+    runs = {path: _monitor_run(strategy_cls, path) for path in PATHS}
+    assert runs["vec"] == runs["kernels"]
+    assert runs["kernels"] == runs["unfused"]
+
+
+def _due_victim_run(rng_mode: str, path: str) -> dict:
+    """Prime+Probe rounds, some starting with a victim store already due
+    (scheduled at the current clock), which the round must run before
+    it walks the eviction set."""
+    cfg = dataclasses.replace(skylake_sp_small(), rng_mode=rng_mode)
+    machine = Machine(cfg, noise=cloud_run_noise(), seed=31)
+    ctx = AttackerContext(machine, seed=3)
+    ctx.calibrate()
+    evset, tset = _congruent_evset(ctx, "sf", machine.cfg.sf.ways)
+    line = _victim_line(machine, tset)
+    strategy = ParallelProbing(ctx, evset)
+    seen = []
+    with _path_guard(path):
+        for i in range(48):
+            strategy.prime()
+            if i % 6 == 5:
+                machine.schedule(
+                    machine.now,
+                    lambda t: machine.hierarchy.access(3, line, t, write=True),
+                )
+            seen.append(strategy.probe())
+    return {"seen": seen, **_machine_digest(machine)}
+
+
+@pytest.mark.parametrize("rng_mode", ["serial", "counter"])
+def test_due_event_runs_before_replayed_round(rng_mode):
+    runs = {path: _due_victim_run(rng_mode, path) for path in PATHS}
+    assert runs["vec"] == runs["kernels"]
+    assert runs["kernels"] == runs["unfused"]
+    assert any(runs["vec"]["seen"]), "the due victim stores must be seen"
 
 
 # --- Construction parity ----------------------------------------------------
@@ -199,7 +214,9 @@ class TestGoldenFingerprints:
         assert _h(_tester_battery("sf", True, fused=True)) == GOLDEN_BATTERY_NOISY_SF
 
     def test_monitor(self):
-        assert _h(_monitor_run(ParallelProbing, True)) == GOLDEN_MONITOR_PARALLEL
+        for path in PATHS:
+            assert _h(_monitor_run(ParallelProbing, path)) == \
+                GOLDEN_MONITOR_PARALLEL, path
 
     def test_construction(self):
         assert _h(_l2_construction(True)) == GOLDEN_L2_CONSTRUCTION

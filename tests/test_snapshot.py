@@ -53,8 +53,9 @@ from repro.memsys.snapshot import SnapshotParityError, _machine_caches
 RNG_MODES = ("serial", "counter")
 
 #: Tier name -> runtime guard (reference also swaps the cache class at
-#: build time; vec is the default resolution, which in counter mode
-#: memo-replays, while kernels runs the same bundle with both memos off).
+#: build time; vec is the default resolution, which memo-replays monitor
+#: rounds in both modes and construction tests in counter mode, while
+#: kernels runs the same bundle with both memos off).
 TIERS = ("reference", "kernels", "vec")
 
 
