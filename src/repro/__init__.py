@@ -30,7 +30,7 @@ Quick start (see examples/quickstart.py)::
     outcome = construct_sf_evset(ctx, "bins", target, candidates.vas)
 """
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 from . import config
 from .errors import ReproError

@@ -1,11 +1,11 @@
 """Canonical machine-state digests and the recursive diff used as oracle.
 
 The parity suites (``tests/test_dataplane_parity.py``,
-``tests/test_kernel_parity.py``, ``tests/test_counter_parity.py``) and the
-differential fuzzer all collapse a machine's observable state to the same
-dict — simulated clock, hierarchy stats, noise event count, and a hash of
-every RNG stream's full ``getstate()`` — so a single digest comparison
-covers everything a trial can depend on.
+``tests/test_kernel_parity.py``) and the differential fuzzer all collapse
+a machine's observable state to the same dict — simulated clock, hierarchy
+stats, noise event count, and a hash of every RNG stream's full
+``getstate()`` — so a single digest comparison covers everything a trial
+can depend on.
 
 The dict shape here is load-bearing: the golden fingerprints pinned in the
 parity suites are SHA-256 digests of exactly this structure.  Do not add,
@@ -38,30 +38,13 @@ def rng_state_digests(machine) -> Dict[str, str]:
 
 
 def machine_digest(machine) -> Dict[str, Any]:
-    """The canonical observable-state dict (see module docstring).
-
-    In counter mode one extra key digests the event counters (reuse
-    predictor, L2-victim, keyed random victims) — a tier that consumed a
-    different number of keyed draws diverges here even if the cache
-    state happens to agree.  The key is *absent* in serial mode so the
-    pinned serial goldens keep their exact historical shape.
-    """
-    out = {
+    """The canonical observable-state dict (see module docstring)."""
+    return {
         "now": machine.now,
         "stats": machine.hierarchy.stats.as_dict(),
         "noise_events": machine.noise.events,
         "rng": rng_state_digests(machine),
     }
-    if getattr(machine.cfg, "rng_mode", "serial") != "serial":
-        hier = machine.hierarchy
-        victims = [_victim_counters(c)
-                   for c in (*hier.l1, *hier.l2, hier.llc, hier.sf)]
-        out["crng"] = obj_digest({
-            "sf_reuse": hier._sf_reuse_ctr,
-            "l2v": hier._l2v_ctr,
-            "victims": victims,
-        })
-    return out
 
 
 def plane_digest(machine) -> str:
@@ -78,9 +61,8 @@ def plane_digest(machine) -> str:
     Unlike :func:`machine_digest`, this shape is *not* golden-pinned; it
     serves the snapshot round-trip suites and
     :func:`assert_digest_memo_blind`.  Like every digest it is blind to
-    accelerator caches (translation memos, monitor-round geometry,
-    construct-test recordings, checkpoint stores): those are
-    derived state, never observable.
+    accelerator caches (translation memos, monitor-round recordings):
+    those are derived state, never observable.
     """
     from ..memsys._reference import ReferenceSetAssociativeCache
     from ..memsys.cache import SetAssociativeCache
@@ -137,13 +119,13 @@ def assert_digest_memo_blind(machine, ctx=None) -> None:
     """Assert no memo/snapshot cache leaks into the state digests.
 
     Takes a throwaway :func:`repro.memsys.snapshot.checkpoint` and drops
-    every accelerator cache reachable from ``ctx`` (translation memos,
-    vectorized monitor-round geometry, construct-test recordings — via
-    ``invalidate_translations``), then asserts that
-    neither :func:`machine_digest` nor :func:`plane_digest` moved.  The
-    golden fingerprints depend on this blindness: a digest that folded in
-    warm-up state would differ between a cold and a memo-warm run of the
-    same trial.  Raises :class:`AssertionError` naming the leaked paths.
+    every accelerator cache reachable from ``ctx`` (translation memos and
+    monitor-round recordings, via ``invalidate_translations``), then
+    asserts that neither :func:`machine_digest` nor :func:`plane_digest`
+    moved.  The golden fingerprints depend on this blindness: a digest
+    that folded in warm-up state would differ between a cold and a
+    memo-warm run of the same trial.  Raises :class:`AssertionError`
+    naming the leaked paths.
     """
     from ..memsys.snapshot import checkpoint
 
@@ -158,24 +140,6 @@ def assert_digest_memo_blind(machine, ctx=None) -> None:
             f"digest is not memo-blind: {delta[:4]} moved after a "
             "checkpoint + accelerator-cache clear"
         )
-
-
-def _victim_counters(cache) -> Dict[int, int]:
-    """Keyed random-victim draw counts per set (empty for deterministic
-    policies), identical between the flat plane and the reference tier."""
-    pol = getattr(cache, "_pol", None)
-    if pol is not None:
-        ctr = getattr(pol, "_ctr", None)
-        return {k: v for k, v in ctr.items() if v} if ctr else {}
-    sets = getattr(cache, "_sets", None)
-    if sets is None:
-        return {}
-    counts = dict(getattr(cache, "_saved_vctr", {}))
-    for set_idx, cset in sets.items():
-        ctr = getattr(cset.policy, "_ctr", 0)
-        if ctr:
-            counts[set_idx] = ctr
-    return counts
 
 
 def diff_keys(expected: Any, actual: Any, prefix: str = "") -> List[str]:

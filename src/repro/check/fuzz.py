@@ -32,7 +32,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import os
 import random
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -50,7 +49,6 @@ from ..exec import Campaign, arithmetic_seeds
 from ..memsys import kernels_disabled
 from ..memsys.machine import Machine
 from ..memsys.snapshot import checkpoint, checkpoint_key, restore
-from ..rng import resolve_rng_mode
 from .digest import diff_keys, machine_digest, obj_digest
 from .invariants import InvariantChecker, InvariantViolation, invariant_hook
 
@@ -83,7 +81,6 @@ class FuzzConfig:
     noise: str = "mix"  # "none" | "cloud-quiet" | "cloud" | "local" | "mix"
     partition: str = "mix"  # "never" | "always" | "mix"
     n_ops: int = 10
-    rng_mode: str = "serial"  # "serial" | "counter" (DESIGN.md §2.7)
     check_invariants: bool = True
     defense: str = "mix"  # DEFENSE_NAMES entry | "mix"
 
@@ -256,7 +253,6 @@ def generate_trace(cfg: FuzzConfig, seed: int) -> Dict[str, Any]:
     return {
         "machine": cfg.machine,
         "noise": noise,
-        "rng": resolve_rng_mode(cfg.rng_mode),
         "seed": rng.randrange(1 << 31),
         "ctx_seed": rng.randrange(1 << 31),
         "partition": partition,
@@ -299,11 +295,6 @@ def _tier_guard(tier: str):
 
 def _build_machine(trace: Dict[str, Any], tier: str) -> Machine:
     cfg = MACHINE_PRESETS[trace["machine"]]()
-    # Traces embed the RNG contract they were generated for (pre-contract
-    # artifacts imply serial); both modes replay on every tier.
-    mode = trace.get("rng", "serial")
-    if cfg.rng_mode != mode:
-        cfg = dataclasses.replace(cfg, rng_mode=mode)
     noise = NOISE_PRESETS[trace["noise"]]
     builder = (
         _reference_cache_swap()
@@ -608,25 +599,22 @@ def load_artifact(path: Path) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     return payload["trace"], payload.get("result", {})
 
 
-def replay_artifact(
-    path: Path,
-    check_invariants: bool = True,
-    rng_mode: Optional[str] = None,
-) -> Dict[str, Any]:
+def replay_artifact(path: Path, check_invariants: bool = True) -> Dict[str, Any]:
     """Re-run an artifact's trace across all tiers (fresh verdict).
 
-    The trace replays under the RNG contract it was *captured* under
-    (recorded in the artifact); asking for the other mode via ``rng_mode``
-    or ``REPRO_RNG`` is refused rather than silently producing a trial
-    the recorded divergence never happened in.
+    Artifacts written before the simulator had a single RNG contract
+    record the contract they were captured under as ``"rng"``.  A
+    ``"counter"`` trace drew its noise from event-keyed streams that no
+    longer exist, so replaying it on today's serial machines could not
+    reproduce the recorded divergence; it is refused.  Serial traces and
+    traces without the key replay as before.
     """
     trace, _ = load_artifact(path)
-    recorded = trace.get("rng", "serial")
-    requested = rng_mode if rng_mode else os.environ.get("REPRO_RNG")
-    if requested and resolve_rng_mode(requested) != recorded:
+    contract = trace.get("rng", "serial")
+    if contract != "serial":
         raise ReproError(
-            f"{path}: artifact was captured under rng={recorded!r} but "
-            f"replay requested rng={resolve_rng_mode(requested)!r}; re-run "
-            "without --rng/REPRO_RNG or capture a new artifact in that mode"
+            f"{path}: artifact was captured under the {contract!r} RNG "
+            "contract, which this version no longer simulates; only "
+            "serial-contract artifacts replay"
         )
     return run_tiers(trace, check_invariants=check_invariants)

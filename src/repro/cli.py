@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -41,7 +40,6 @@ from .core.pipeline import AttackConfig, run_end_to_end
 from .core.scanner import ScannerConfig, TargetSetClassifier, collect_labeled_traces
 from .envs import EnvSpec, environment_names
 from .errors import ReproError
-from .rng import RNG_MODES, resolve_rng_mode
 from .exec import (
     CampaignJournal,
     ConstructionSample,
@@ -61,9 +59,6 @@ from .victim import EcdsaVictim, VictimConfig
 
 def _build_env(args):
     cfg = MACHINE_PRESETS[args.machine]()
-    mode = resolve_rng_mode(getattr(args, "rng", None))
-    if cfg.rng_mode != mode:
-        cfg = dataclasses.replace(cfg, rng_mode=mode)
     noise = NOISE_PRESETS[args.env]
     if args.exposure_matched:
         noise = exposure_matched(noise, cfg)
@@ -108,7 +103,6 @@ def cmd_evset(args) -> int:
             machine=args.machine,
             noise=args.env,
             exposure_matched=args.exposure_matched,
-            rng_mode=args.rng,
         ),
         algorithm=args.algo,
         trials=args.trials,
@@ -181,11 +175,6 @@ def cmd_attack(args) -> int:
 def cmd_campaign(args) -> int:
     if getattr(args, "positional_name", None):
         args.name = args.positional_name
-    if getattr(args, "rng", None):
-        # Campaign trial specs carry string env names resolved per trial
-        # (possibly in worker processes), so the mode travels via the
-        # environment variable the resolver already honors.
-        os.environ["REPRO_RNG"] = resolve_rng_mode(args.rng)
     campaign = CLI_CAMPAIGNS[args.name](args)
     journal = None
     if not args.no_journal:
@@ -280,7 +269,7 @@ def cmd_fuzz(args) -> int:
     )
     if args.replay:
         try:
-            result = replay_artifact(args.replay, rng_mode=args.rng)
+            result = replay_artifact(args.replay)
         except (OSError, ReproError) as exc:
             print(f"cannot replay {args.replay}: {exc}")
             return 2
@@ -298,7 +287,6 @@ def cmd_fuzz(args) -> int:
         noise=args.noise,
         partition=args.partition,
         n_ops=args.ops,
-        rng_mode=resolve_rng_mode(args.rng),
         defense=args.defense,
     )
     if args.self_test:
@@ -380,12 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker processes for trial fan-out (0 = all cores); "
             "results are identical for any value",
         )
-        p.add_argument(
-            "--rng", default=None, choices=RNG_MODES,
-            help="RNG contract: 'serial' (default; draw-order goldens) or "
-            "'counter' (event-keyed draws, enables the vectorized tiers); "
-            "defaults to $REPRO_RNG or serial",
-        )
 
     sub.add_parser("machines", help="list machine presets").set_defaults(
         fn=cmd_machines
@@ -456,9 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable the result journal for this run")
     p.add_argument("--progress", action="store_true",
                    help="stream live progress (trials/s, ETA) to stderr")
-    p.add_argument("--rng", default=None, choices=RNG_MODES,
-                   help="RNG contract for every trial (sets REPRO_RNG; "
-                   "default serial)")
     p.set_defaults(fn=cmd_campaign)
 
     p = sub.add_parser(
@@ -573,10 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-run a saved trace artifact across all tiers")
     p.add_argument("--progress", action="store_true",
                    help="stream live progress (trials/s, ETA) to stderr")
-    p.add_argument("--rng", default=None, choices=RNG_MODES,
-                   help="RNG contract for generated traces (default: "
-                   "REPRO_RNG or serial); replay refuses artifacts "
-                   "captured under the other mode")
     p.set_defaults(fn=cmd_fuzz)
     return parser
 

@@ -19,7 +19,6 @@ import random
 
 from .._util import poisson
 from ..config import NoiseConfig
-from ..rng import S_NOISE_LLC, S_NOISE_SF
 
 
 class BackgroundNoise:
@@ -38,12 +37,6 @@ class BackgroundNoise:
         self._llc_rate = rate
         self._sf_rate = rate * cfg.sf_fraction
         self._rng = rng
-        #: Event-keyed RNG (counter mode); None selects the serial stream.
-        #: In counter mode each reconciliation window draws keyed by
-        #: ``(set, old_clock)`` — the clock strictly advances past ``old``
-        #: whenever a draw happens, so a window is never drawn twice and
-        #: needs no explicit counter.
-        self.crng = None
         #: Total noise events injected (across all sets).
         self.events = 0
 
@@ -78,14 +71,7 @@ class BackgroundNoise:
         cycles, no event — is inlined: one ``exchange_noise_clock`` call and
         one uniform draw per structure (the ``_draw`` small-mean fast path,
         kept in sync with that method).
-
-        In counter mode (``crng`` bound) the draw for each window is a
-        pure function of ``(structure, set, old_clock)`` instead of the
-        next serial stream position — same shape, order-independent.
         """
-        if self.crng is not None:
-            self._reconcile_keyed(hier, sidx, now)
-            return
         rng = self._rng
         if self._sf_rate > 0.0:
             sf = hier.sf
@@ -112,36 +98,6 @@ class BackgroundNoise:
                     n = 1 if rng.random() < lam else 0
                 else:
                     n = poisson(rng, lam)
-                if n:
-                    cap = 3 * llc.ways
-                    if n > cap:
-                        n = cap
-                    for _ in range(n):
-                        hier.noise_insert_llc(sidx)
-                    self.events += n
-
-    def _reconcile_keyed(self, hier, sidx: int, now: int) -> None:
-        """Counter-mode reconcile: draws keyed by ``(set, old_clock)``."""
-        crng = self.crng
-        if self._sf_rate > 0.0:
-            sf = hier.sf
-            old = sf.exchange_noise_clock(sidx, now)
-            if now > old:
-                n = crng.noise_poisson(
-                    S_NOISE_SF, sidx, old, self._sf_rate * (now - old))
-                if n:
-                    cap = 3 * sf.ways
-                    if n > cap:
-                        n = cap
-                    for _ in range(n):
-                        hier.noise_insert_sf(sidx)
-                    self.events += n
-        if self._llc_rate > 0.0:
-            llc = hier.llc
-            old = llc.exchange_noise_clock(sidx, now)
-            if now > old:
-                n = crng.noise_poisson(
-                    S_NOISE_LLC, sidx, old, self._llc_rate * (now - old))
                 if n:
                     cap = 3 * llc.ways
                     if n > cap:

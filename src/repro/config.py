@@ -196,21 +196,10 @@ class MachineConfig:
     l2_victim_to_llc_p: float = 0.95
     #: Slice hash family: "linear" (power-of-two slices) or "complex".
     slice_hash: str = "complex"
-    #: RNG contract for stochastic draws: "serial" (one shared stream,
-    #: consumed in strict access order — the historical contract, pinned
-    #: by the existing goldens) or "counter" (event-keyed draws, pure in
-    #: ``(seed, stream, event key)`` — order-independent, which legalizes
-    #: the construct-test memo-replay; see DESIGN.md §2.7).
-    #: The two modes produce different — both valid — trial outcomes.
-    rng_mode: str = "serial"
 
     def __post_init__(self) -> None:
         if self.cores < 1:
             raise ConfigurationError("need at least one core")
-        if self.rng_mode not in ("serial", "counter"):
-            raise ConfigurationError(
-                f"rng_mode must be 'serial' or 'counter', got {self.rng_mode!r}"
-            )
         if self.llc.sets != self.sf.sets or self.llc.slices != self.sf.slices:
             raise ConfigurationError(
                 "SF must mirror LLC set/slice geometry (Skylake-SP property)"

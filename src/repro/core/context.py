@@ -116,10 +116,9 @@ class AttackerContext:
         """The machine's kernel bundle, or None for the unfused path.
 
         One bundle per machine (a lazy singleton): a
-        :class:`~repro.memsys.vec.VecKernels` under either RNG contract —
-        identical results, with steady-state monitor rounds memo-replayed
-        and, on counter-RNG machines, construction tests too (see
-        DESIGN.md §2.7).  None inside :func:`~repro.memsys.kernels_disabled`
+        :class:`~repro.memsys.vec.VecKernels` — identical results, with
+        steady-state monitor rounds memo-replayed (see DESIGN.md §2.7).
+        None inside :func:`~repro.memsys.kernels_disabled`
         and whenever the bundle does not engage (duck-typed or defended
         caches).
         """

@@ -28,7 +28,6 @@ parallel engine, and the sharded :mod:`repro.fleet` service.
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .._util import mean
@@ -42,7 +41,6 @@ from ..core.scanner import (
     collect_labeled_traces,
 )
 from ..errors import ReproError
-from ..rng import resolve_rng_mode
 from .registry import DEFENSE_NAMES, apply_defense, default_defense_spec
 
 #: Stage names in pipeline order.
@@ -117,7 +115,6 @@ def defended_env(
         if env.exposure_matched:
             noise = exposure_matched(noise, cfg)
         ctx_seed = seed + 1
-        rng_mode = env.rng_mode
     else:
         cfg_factory, noise_factory, matched = ENVIRONMENTS[env]
         cfg = cfg_factory()
@@ -125,12 +122,6 @@ def defended_env(
         if matched:
             noise = exposure_matched(noise, cfg)
         ctx_seed = seed * 7 + 1
-        rng_mode = None
-    mode = rng_mode if rng_mode else os.environ.get("REPRO_RNG")
-    if mode:
-        mode = resolve_rng_mode(mode)
-        if cfg.rng_mode != mode:
-            cfg = dataclasses.replace(cfg, rng_mode=mode)
     machine = Machine(cfg, noise=noise, seed=seed)
     apply_defense(machine, default_defense_spec(cfg, defense, seed=defense_seed))
     ctx = AttackerContext(machine, seed=ctx_seed)

@@ -76,11 +76,6 @@ class WayPartitionedCache:
         """Inner flat caches by domain label (checker/snapshot protocol)."""
         return self._parts
 
-    def bind_keyed_victims(self, crng, cache_id: int) -> None:
-        """Counter-mode keyed-victim pass-through (distinct sub-ids)."""
-        for i, part in enumerate(self._parts.values()):
-            part.bind_keyed_victims(crng, (cache_id + 1) * 1000 + i)
-
     # -- Interface mirrored from SetAssociativeCache ------------------------
 
     def _domain(self, owner: int) -> str:

@@ -171,11 +171,6 @@ class _RandomizedSharedCache:
     def exchange_noise_clock(self, set_idx: int, now: int) -> int:
         return self._clock_part().exchange_noise_clock(set_idx, now)
 
-    def bind_keyed_victims(self, crng, cache_id: int) -> None:
-        """Counter-mode keyed-victim pass-through (distinct sub-ids)."""
-        for i, part in enumerate(self.parts().values()):
-            part.bind_keyed_victims(crng, (cache_id + 1) * 1000 + i)
-
     # -- checker / snapshot protocol ----------------------------------------
 
     def parts(self) -> Dict[str, SetAssociativeCache]:

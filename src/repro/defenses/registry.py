@@ -21,8 +21,7 @@ samples, and the fleet shards can all carry defenses by value:
 JSON round-trip with integer core ids intact.
 
 :func:`apply_defense` swaps a freshly built machine's shared caches per
-the spec (before any traffic), and rebinds the counter RNG so keyed
-random-victim draws reach the new inner planes in counter mode.
+the spec (before any traffic).
 """
 
 from __future__ import annotations
@@ -144,7 +143,3 @@ def apply_defense(machine: Machine, spec: Optional[Dict[str, Any]]) -> None:
         raise ConfigurationError(
             f"unknown defense {kind!r} (have {', '.join(DEFENSE_NAMES)})"
         )
-    # Counter mode: the swap replaced caches whose keyed-victim binding
-    # happened at Machine construction; rebind so draws stay event-keyed.
-    if hier.crng is not None:
-        hier.bind_counter_rng(hier.crng)

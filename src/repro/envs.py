@@ -25,7 +25,6 @@ processes.
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Optional, Tuple, Union
 
 from .config import (
@@ -43,7 +42,6 @@ from .config import (
 )
 from .core.context import AttackerContext
 from .memsys.machine import Machine
-from .rng import resolve_rng_mode
 from .victim import EcdsaVictim, VictimConfig
 
 
@@ -89,19 +87,13 @@ class EnvSpec:
     machine: str = "skylake-small"
     noise: str = "cloud"
     exposure_matched: bool = False
-    #: RNG contract for the machine (``None`` = serial unless ``REPRO_RNG``
-    #: overrides; see :func:`repro.rng.resolve_rng_mode`).
-    rng_mode: Optional[str] = None
 
     def build(self, seed: int) -> Tuple[Machine, AttackerContext]:
         cfg = MACHINE_PRESETS[self.machine]()
         noise = NOISE_PRESETS[self.noise]
         if self.exposure_matched:
             noise = exposure_matched(noise, cfg)
-        return make_custom_env(
-            cfg, noise=noise, seed=seed, ctx_seed=seed + 1,
-            rng_mode=self.rng_mode,
-        )
+        return make_custom_env(cfg, noise=noise, seed=seed, ctx_seed=seed + 1)
 
 
 #: Anything that names an environment: a benchmark name or an EnvSpec.
@@ -113,23 +105,13 @@ def make_custom_env(
     noise: Optional[NoiseConfig] = None,
     seed: int = 0,
     ctx_seed: Optional[int] = None,
-    rng_mode: Optional[str] = None,
 ) -> Tuple[Machine, AttackerContext]:
     """Machine + calibrated attacker context from explicit configs.
 
     The one place that performs the machine/context/calibrate dance; the
     named-environment helpers and the ad-hoc benchmark setups (replacement
     sweeps, associativity studies) all route through here.
-
-    ``rng_mode`` (or the ``REPRO_RNG`` environment variable) selects the
-    machine's RNG contract; when neither is given the config's own mode
-    stands, so explicitly-built counter configs pass through untouched.
     """
-    mode = rng_mode if rng_mode else os.environ.get("REPRO_RNG")
-    if mode:
-        mode = resolve_rng_mode(mode)
-        if cfg.rng_mode != mode:
-            cfg = dataclasses.replace(cfg, rng_mode=mode)
     machine = Machine(cfg, noise=noise, seed=seed)
     ctx = AttackerContext(
         machine, seed=(seed + 1) if ctx_seed is None else ctx_seed
@@ -138,22 +120,16 @@ def make_custom_env(
     return machine, ctx
 
 
-def make_env(
-    env: EnvLike, seed: int, rng_mode: Optional[str] = None
-) -> Tuple[Machine, AttackerContext]:
+def make_env(env: EnvLike, seed: int) -> Tuple[Machine, AttackerContext]:
     """A machine + calibrated attacker context for a named environment."""
     if isinstance(env, EnvSpec):
-        if rng_mode and env.rng_mode != rng_mode:
-            env = dataclasses.replace(env, rng_mode=rng_mode)
         return env.build(seed)
     cfg_factory, noise_factory, matched = ENVIRONMENTS[env]
     cfg = cfg_factory()
     noise = noise_factory()
     if matched:
         noise = exposure_matched(noise, cfg)
-    return make_custom_env(
-        cfg, noise=noise, seed=seed, ctx_seed=seed * 7 + 1, rng_mode=rng_mode
-    )
+    return make_custom_env(cfg, noise=noise, seed=seed, ctx_seed=seed * 7 + 1)
 
 
 def make_victim_env(

@@ -49,13 +49,6 @@ from .executor import (
     run_campaign,
 )
 from .journal import DEFAULT_JOURNAL_DIR, CampaignJournal
-from .prefix import (
-    TrialPrefixStore,
-    lease_construction_prefix,
-    prefix_enabled,
-    prefix_key,
-    thread_store,
-)
 from .progress import ProgressReporter
 from .spec import (
     Campaign,
@@ -77,7 +70,6 @@ __all__ = [
     "ExecPolicy",
     "ProgressReporter",
     "ResultCodec",
-    "TrialPrefixStore",
     "TrialResult",
     "TrialSpec",
     "TrialTimeout",
@@ -90,11 +82,7 @@ __all__ = [
     "dataclass_codec",
     "default_jobs",
     "grid_campaign",
-    "lease_construction_prefix",
-    "prefix_enabled",
-    "prefix_key",
     "run_campaign",
     "seed_stream",
     "summarize_construction_samples",
-    "thread_store",
 ]

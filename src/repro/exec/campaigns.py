@@ -68,26 +68,10 @@ def construction_trial(
     Byte-for-byte the trial body of the historical serial loops in
     ``benchmarks/_common.run_single_set_trials`` (unfiltered) and Table
     4's filtered variant, so engine-run campaigns reproduce their values.
-
-    With ``REPRO_PREFIX_CACHE=1`` the deterministic prefix (machine
-    build, calibration, candidate-pool allocation) is served from the
-    thread's content-addressed :mod:`~repro.exec.prefix` store: a
-    repeated ``(env, seed, page_offset)`` spec — fleet retries, resumed
-    shards, benchmark repeat loops — restores the checkpointed state
-    instead of re-simulating it.  Results are bit-identical either way
-    (the restore is digest-verified).
     """
-    from .prefix import lease_construction_prefix, prefix_enabled
-
-    if prefix_enabled():
-        machine, ctx, target, vas = lease_construction_prefix(
-            cfg.env, seed, cfg.page_offset
-        )[:4]
-    else:
-        machine, ctx = make_env(cfg.env, seed=seed)
-        cand = build_candidate_set(ctx, cfg.page_offset)
-        target = cand.vas.pop()
-        vas = cand.vas
+    machine, ctx = make_env(cfg.env, seed=seed)
+    vas = build_candidate_set(ctx, cfg.page_offset).vas
+    target = vas.pop()
     if cfg.filtered:
         from ..core.evset.filtering import build_l2_eviction_set, filter_candidates
 

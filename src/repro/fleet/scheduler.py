@@ -93,12 +93,6 @@ class ShardOutcome:
     attempts: int = 1
     elapsed_s: float = 0.0
     error: Optional[str] = None
-    #: Trial-prefix store traffic (``REPRO_PREFIX_CACHE=1``): shard
-    #: retries and resumes re-run identical (config, seed) specs, whose
-    #: construction prefixes restore from checkpoint instead of
-    #: re-simulating (:mod:`repro.exec.prefix`).
-    prefix_hits: int = 0
-    prefix_misses: int = 0
     records: List[object] = dataclasses.field(default_factory=list)
 
     @property
@@ -123,8 +117,6 @@ class FleetReport:
     drained: bool = False
     elapsed_s: float = 0.0
     peak_dispatch_ahead: int = 0
-    prefix_hits: int = 0
-    prefix_misses: int = 0
 
     @property
     def complete(self) -> bool:
@@ -180,11 +172,6 @@ class FleetScheduler:
         journal = self.store.shard_journal(
             shard, flush_every=self.policy.flush_every
         )
-        from ..exec.prefix import prefix_enabled, thread_store
-
-        prefix_before = (
-            dict(thread_store().stats()) if prefix_enabled() else None
-        )
         started = time.perf_counter()
         try:
             result = run_campaign(
@@ -201,10 +188,6 @@ class FleetScheduler:
         finally:
             journal.close()
         outcome = ShardOutcome(shard=shard, elapsed_s=time.perf_counter() - started)
-        if prefix_before is not None:
-            after = thread_store().stats()
-            outcome.prefix_hits = after["hits"] - prefix_before["hits"]
-            outcome.prefix_misses = after["misses"] - prefix_before["misses"]
         for record in result.records:
             if record.cached:
                 outcome.cached += 1
@@ -369,8 +352,6 @@ class FleetScheduler:
         if outcome.error is not None or outcome.failed:
             report.shards_failed += 1
         report.failed_trials += outcome.failed
-        report.prefix_hits += outcome.prefix_hits
-        report.prefix_misses += outcome.prefix_misses
         if self.reporter is not None:
             for record in outcome.records:
                 if not record.cached:

@@ -151,11 +151,6 @@ def _print_report(report: FleetReport, store: FleetStore) -> None:
         f"{report.shards_failed} with failures, "
         f"{report.shard_retries} retried | {report.elapsed_s:.2f}s wall"
     )
-    if report.prefix_hits or report.prefix_misses:
-        print(
-            f"prefix store: {report.prefix_hits} restored, "
-            f"{report.prefix_misses} built"
-        )
 
 
 def _drive(campaign: Campaign, spec: Dict, args, shards=None) -> int:

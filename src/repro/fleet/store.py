@@ -19,9 +19,11 @@ tail of each in-flight shard, which resume simply re-runs.
 Reading is streaming: :meth:`FleetStore.iter_completed` walks shards in
 index order, holding at most one shard's records in memory at a time —
 that is what lets a million-trial campaign aggregate in constant RSS.
-A pass over every shard reads ``index.json`` once and the index-sorted
-compacted file once, front to back, so it costs O(trials) however the
-trials are split between shards.
+A pass over every shard reads the index-sorted compacted file once,
+front to back, so it costs O(trials) however the trials are split
+between shards.  Readers take compacted records from the compacted file
+itself (checked against its header fingerprint), never from the index,
+so losing or corrupting ``index.json`` costs a rescan, never data.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import dataclasses
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..exec.journal import _safe_name, encode_line, trial_line
 from ..exec.spec import Campaign
@@ -246,48 +248,38 @@ class FleetStore:
 
     # -- raw reading ------------------------------------------------------
 
-    def _compacted_ids(self) -> List[int]:
-        index = self._load_index()
-        return sorted(index.get("compacted", []))
-
     def load_shard_records(self, shard: ShardSpec) -> Dict[int, dict]:
         """Valid finished-trial records of one shard, by *global* index.
 
-        Reads the live segment and, when the shard was compacted, its
-        slice of the compacted file.  Records are validated against the
-        campaign (index range, per-index seed) exactly like
+        Reads the shard's slice of the compacted file and its live
+        segment.  Records are validated against the campaign (index
+        range, per-index seed) exactly like
         ``CampaignJournal.load_completed``.  Reads of every shard walk
         the compacted file once for all of them instead (see
         :meth:`iter_completed`).
         """
         self._check_shard(shard)
         records: Dict[int, dict] = {}
-        if shard.shard_id in self._compacted_ids():
-            for obj in self._iter_compacted():
-                if obj["index"] >= shard.hi:
-                    break
-                self._admit(records, obj, shard)
+        for obj in self._iter_compacted():
+            if obj["index"] >= shard.hi:
+                break
+            self._admit(records, obj, shard)
         self._read_segment(shard, records)
         return records
 
-    def _shard_records(
-        self, compacted_ids: Sequence[int]
-    ) -> Iterator[Tuple[ShardSpec, Dict[int, dict]]]:
+    def _shard_records(self) -> Iterator[Tuple[ShardSpec, Dict[int, dict]]]:
         """``(shard, load_shard_records(shard))`` for every shard, in order.
 
         One pass: the index-sorted compacted file is read front to back
         alongside the shards (whose ranges are contiguous and ascending),
-        so each line is parsed once.  ``compacted_ids`` are the shards the
-        index lists as compacted.
+        so each line is parsed once.
         """
-        compacted_ids = set(compacted_ids)
-        stream = self._iter_compacted() if compacted_ids else iter(())
+        stream = self._iter_compacted()
         head = next(stream, None)
         for shard in self.shards:
             records: Dict[int, dict] = {}
             while head is not None and head["index"] < shard.hi:
-                if shard.shard_id in compacted_ids:
-                    self._admit(records, head, shard)
+                self._admit(records, head, shard)
                 head = next(stream, None)
             self._read_segment(shard, records)
             yield shard, records
@@ -319,11 +311,16 @@ class FleetStore:
         records[index] = obj
 
     def _iter_compacted(self) -> Iterator[dict]:
-        """The compacted file's trial records, in file (= index) order."""
+        """The compacted file's trial records, in file (= index) order.
+
+        Yields nothing unless the file opens with this campaign's header:
+        a file without one is not this store's output.
+        """
         path = self.run_dir / self.COMPACTED
         if not path.exists():
             return
         with open(path, "r", encoding="utf-8") as fh:
+            header = None
             for line in fh:
                 line = line.strip()
                 if not line:
@@ -331,6 +328,12 @@ class FleetStore:
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError:
+                    continue
+                if header is None:
+                    header = obj
+                    if (obj.get("kind") != "header"
+                            or obj.get("fingerprint") != self.fingerprint):
+                        return
                     continue
                 if obj.get("kind") == "trial" and isinstance(obj.get("index"), int):
                     yield obj
@@ -350,13 +353,12 @@ class FleetStore:
             return {}
         return index
 
-    def _write_index(self, compacted: List[int], done: Dict[int, int]) -> dict:
-        """Persist the index cache: compacted shard ids and per-shard counts."""
+    def _write_index(self, done: Dict[int, int]) -> dict:
+        """Persist the index cache: per-shard finished-trial counts."""
         payload = {
             "kind": "fleet-index",
             "fingerprint": self.fingerprint,
             "shard_size": self.shard_size,
-            "compacted": compacted,
             "shards": {
                 str(shard.shard_id): {
                     "lo": shard.lo,
@@ -376,12 +378,11 @@ class FleetStore:
         The index is purely derived state — losing or corrupting it
         costs a rescan, never data.
         """
-        compacted = self._compacted_ids()
         done = {
             shard.shard_id: len(records)
-            for shard, records in self._shard_records(compacted)
+            for shard, records in self._shard_records()
         }
-        return self._write_index(compacted, done)
+        return self._write_index(done)
 
     def progress(self, recount: bool = False) -> List[ShardProgress]:
         """Per-shard progress, from the index cache or a fresh recount."""
@@ -414,7 +415,7 @@ class FleetStore:
         id order (= index order, since ranges are contiguous) and each
         shard's records are sorted locally before yielding.
         """
-        for _, records in self._shard_records(self._compacted_ids()):
+        for _, records in self._shard_records():
             for index in sorted(records):
                 yield index, records[index]
 
@@ -450,7 +451,7 @@ class FleetStore:
         folded: List[int] = []
         with open(tmp, "w", encoding="utf-8") as out:
             out.write(encode_line(header) + "\n")
-            for shard, records in self._shard_records(self._compacted_ids()):
+            for shard, records in self._shard_records():
                 done[shard.shard_id] = len(records)
                 if len(records) < shard.n_trials:
                     continue
@@ -460,7 +461,7 @@ class FleetStore:
             out.flush()
             os.fsync(out.fileno())
         os.replace(tmp, target)
-        self._write_index(folded, done)
+        self._write_index(done)
         for shard in self.shards:
             if shard.shard_id in folded:
                 path = self.segment_path(shard)

@@ -17,7 +17,7 @@ from .machine import Machine
 from .replacement import make_policy
 from .slice_hash import ComplexSliceHash, LinearSliceHash, make_slice_hash
 from .snapshot import MachineCheckpoint, checkpoint, checkpoint_key, restore
-from .vec import VecKernels, construct_memo_disabled, vec_disabled
+from .vec import VecKernels, vec_disabled
 
 __all__ = [
     "AddressSpace",
@@ -35,7 +35,6 @@ __all__ = [
     "VecKernels",
     "checkpoint",
     "checkpoint_key",
-    "construct_memo_disabled",
     "kernels_disabled",
     "restore",
     "vec_disabled",

@@ -59,13 +59,6 @@ class ReferenceSetAssociativeCache:
         self._policy_name = policy_name
         self._rng = rng
         self._sets: Dict[int, _CacheSet] = {}
-        #: Counter-mode keyed-victim binding (crng, cache_id); applied to
-        #: each set's policy at materialization (random policy only).
-        self._keyed = None
-        #: Keyed-victim draw counts carried across flush_all, mirroring
-        #: the flat plane's table-level counter dict (which survives a
-        #: flush): replaying counters would replay identical victims.
-        self._saved_vctr: Dict[int, int] = {}
         #: Reconciliation clocks carried across flush_all (parity with the
         #: flat plane's persistent per-set noise clocks): per-set survivors
         #: plus a floor for sets never materialized before the flush.
@@ -75,24 +68,11 @@ class ReferenceSetAssociativeCache:
         self.policy_touches = 0
         self.policy_victims = 0
 
-    def bind_keyed_victims(self, crng, cache_id: int) -> None:
-        """Counter-mode hook: key random-policy victim draws per set."""
-        self._keyed = (crng, cache_id)
-        for set_idx, cset in self._sets.items():
-            bind = getattr(cset.policy, "bind_keyed", None)
-            if bind is not None:
-                bind(crng, cache_id, set_idx)
-
     def _set(self, set_idx: int) -> _CacheSet:
         cset = self._sets.get(set_idx)
         if cset is None:
             cset = _CacheSet(self.ways, self._policy_name, self._rng)
             cset.noise_t = self._saved_clocks.get(set_idx, self._noise_floor)
-            if self._keyed is not None:
-                bind = getattr(cset.policy, "bind_keyed", None)
-                if bind is not None:
-                    bind(self._keyed[0], self._keyed[1], set_idx)
-                    cset.policy._ctr = self._saved_vctr.get(set_idx, 0)
             self._sets[set_idx] = cset
         return cset
 
@@ -217,9 +197,6 @@ class ReferenceSetAssociativeCache:
         saved = self._saved_clocks
         for set_idx, cset in self._sets.items():
             saved[set_idx] = cset.noise_t
-            ctr = getattr(cset.policy, "_ctr", 0)
-            if ctr:
-                self._saved_vctr[set_idx] = ctr
         self._sets.clear()
         if now > 0:
             for set_idx, t in saved.items():

@@ -126,13 +126,6 @@ class SetAssociativeCache:
         self.policy_fills = 0
         self.policy_victims = 0
 
-    def bind_keyed_victims(self, crng, cache_id: int) -> None:
-        """Counter-mode hook: key random-policy victim draws (no-op for
-        deterministic policies — they draw nothing)."""
-        bind = getattr(self._pol, "bind_keyed", None)
-        if bind is not None:
-            bind(crng, cache_id)
-
     def _mark_touched(self, set_idx: int) -> None:
         if not self._touched[set_idx]:
             self._touched[set_idx] = 1

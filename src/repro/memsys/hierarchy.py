@@ -37,7 +37,6 @@ import random
 from typing import Dict, List, Optional
 
 from ..config import MachineConfig
-from ..rng import S_L2_VICTIM, S_SF_REUSE
 from .cache import SetAssociativeCache
 from .policy_tables import TreePLRU8Table
 from .slice_hash import make_slice_hash
@@ -126,50 +125,6 @@ class CacheHierarchy:
         self._shared_mask = cfg.llc.sets - 1
         self._shared_sets_per_slice = cfg.llc.sets
         self._noise_tag_next = _NOISE_TAG_BASE
-        #: Event-keyed RNG (counter mode); None selects the serial-order
-        #: contract.  Bound by :meth:`bind_counter_rng`.
-        self.crng = None
-        #: Counter-mode event counters: reuse-predictor draws per shared
-        #: set, and L2-victim write-back draws per (victim line, core).
-        self._sf_reuse_ctr: Dict[int, int] = {}
-        self._l2v_ctr: Dict[int, int] = {}
-
-    def bind_counter_rng(self, crng) -> None:
-        """Switch every stochastic draw site to event-keyed draws.
-
-        Cache ids for keyed random-policy victims follow construction
-        order — L1[c] = c, L2[c] = cores + c, LLC = 2*cores,
-        SF = 2*cores + 1 — so every tier derives the same ids.
-        """
-        self.crng = crng
-        cores = self.cfg.cores
-        for c, cache in enumerate(self.l1):
-            bind = getattr(cache, "bind_keyed_victims", None)
-            if bind is not None:
-                bind(crng, c)
-        for c, cache in enumerate(self.l2):
-            bind = getattr(cache, "bind_keyed_victims", None)
-            if bind is not None:
-                bind(crng, cores + c)
-        for cache_id, cache in ((2 * cores, self.llc), (2 * cores + 1, self.sf)):
-            bind = getattr(cache, "bind_keyed_victims", None)
-            if bind is not None:
-                bind(crng, cache_id)
-
-    def _reuse_take(self, sidx: int) -> bool:
-        """Counter-mode reuse-predictor draw, keyed (set, per-set count)."""
-        ctr = self._sf_reuse_ctr
-        rc = ctr.get(sidx, 0)
-        ctr[sidx] = rc + 1
-        return self.crng.u01(S_SF_REUSE, sidx, rc, 0) < self.cfg.reuse_predictor_p
-
-    def _l2v_take(self, core: int, vline: int) -> bool:
-        """Counter-mode L2-victim draw, keyed (line, core, per-pair count)."""
-        key = vline * self.cfg.cores + core
-        ctr = self._l2v_ctr
-        rc = ctr.get(key, 0)
-        ctr[key] = rc + 1
-        return self.crng.u01(S_L2_VICTIM, key, rc, 0) < self.cfg.l2_victim_to_llc_p
 
     # -- Address mapping ---------------------------------------------------
 
@@ -235,8 +190,7 @@ class CacheHierarchy:
         if eowner >= 0:
             self._invalidate_private(eowner, etag)
             self.stats.sf_back_invalidations += 1
-        if (self._rng.random() < self.cfg.reuse_predictor_p
-                if self.crng is None else self._reuse_take(sidx)):
+        if self._rng.random() < self.cfg.reuse_predictor_p:
             self._llc_install(sidx, etag)
 
     def _handle_l2_victim(self, core: int, vline: int, now: int) -> None:
@@ -249,8 +203,7 @@ class CacheHierarchy:
             # treat the L2 as the private point of residence).
             self.sf.remove(sidx, vline)
             self.l1[core].remove(vline & self._l1_mask, vline)
-            if (self._rng.random() < self.cfg.l2_victim_to_llc_p
-                    if self.crng is None else self._l2v_take(core, vline)):
+            if self._rng.random() < self.cfg.l2_victim_to_llc_p:
                 self._reconcile_noise(sidx, now)
                 self._llc_install(sidx, vline)
         # Shared lines keep their LLC copy; nothing to do.

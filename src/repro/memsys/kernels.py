@@ -21,8 +21,9 @@ This module fuses those loops:
 The RNG-order contract (what keeps trials bit-identical)
 --------------------------------------------------------
 
-Every kernel must consume the machine's RNG streams in exactly the
-per-access order of the unfused path it replaces:
+This is the simulator's one RNG contract (DESIGN.md §2.7).  Every kernel
+must consume the machine's RNG streams in exactly the per-access order of
+the unfused path it replaces:
 
 * the **hierarchy RNG** is drawn by ``_sf_install`` (reuse predictor) and
   ``_handle_l2_victim`` (victim-to-LLC), in cache-operation order;
@@ -56,7 +57,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .._util import poisson
 from ..cloud.noise import BackgroundNoise
-from ..rng import S_NOISE_LLC, S_NOISE_SF
 from .cache import SetAssociativeCache
 from .hierarchy import (
     _NOISE_TAG_BASE,
@@ -326,7 +326,6 @@ class AttackKernels:
         if noise is not None:
             nrng = noise._rng
             nrand = nrng.random
-            crng = noise.crng
             sf_rate = noise._sf_rate
             llc_rate = noise._llc_rate
             sf_nt = sf._noise_t
@@ -360,9 +359,7 @@ class AttackKernels:
                     if now > old:
                         sf_nt[sidx] = now
                         lam = sf_rate * (now - old)
-                        if crng is not None:
-                            n = crng.noise_poisson(S_NOISE_SF, sidx, old, lam)
-                        elif lam < 0.01:
+                        if lam < 0.01:
                             n = 1 if nrand() < lam else 0
                         else:
                             n = poisson(nrng, lam)
@@ -380,9 +377,7 @@ class AttackKernels:
                     if now > old:
                         llc_nt[sidx] = now
                         lam = llc_rate * (now - old)
-                        if crng is not None:
-                            n = crng.noise_poisson(S_NOISE_LLC, sidx, old, lam)
-                        elif lam < 0.01:
+                        if lam < 0.01:
                             n = 1 if nrand() < lam else 0
                         else:
                             n = poisson(nrng, lam)
@@ -528,7 +523,6 @@ class AttackKernels:
         llc_tb = llc._touched
         hrand = hier._rng.random
         reuse_p = hier.cfg.reuse_predictor_p
-        reuse_take = hier._reuse_take if hier.crng is not None else None
         handle_victim = hier._handle_l2_victim
         sidx_get = hier._sidx_memo.get
         shared_set_index = hier.shared_set_index
@@ -599,7 +593,6 @@ class AttackKernels:
         if noise is not None:
             nrng = noise._rng
             nrand = nrng.random
-            crng = noise.crng
             sf_rate = noise._sf_rate
             llc_rate = noise._llc_rate
             sf_nt = sf._noise_t
@@ -630,9 +623,7 @@ class AttackKernels:
                     if now > old:
                         sf_nt[sidx] = now
                         lam = sf_rate * (now - old)
-                        if crng is not None:
-                            n = crng.noise_poisson(S_NOISE_SF, sidx, old, lam)
-                        elif lam < 0.01:
+                        if lam < 0.01:
                             n = 1 if nrand() < lam else 0
                         else:
                             n = poisson(nrng, lam)
@@ -650,9 +641,7 @@ class AttackKernels:
                     if now > old:
                         llc_nt[sidx] = now
                         lam = llc_rate * (now - old)
-                        if crng is not None:
-                            n = crng.noise_poisson(S_NOISE_LLC, sidx, old, lam)
-                        elif lam < 0.01:
+                        if lam < 0.01:
                             n = 1 if nrand() < lam else 0
                         else:
                             n = poisson(nrng, lam)
@@ -831,8 +820,7 @@ class AttackKernels:
                                 if eowner >= 0:
                                     inv_private(eowner, etag)
                                     back_inv += 1
-                                if ((hrand() < reuse_p) if reuse_take is None
-                                        else reuse_take(sidx)):
+                                if hrand() < reuse_p:
                                     ev2 = llc_insert(sidx, etag, SHARED_OWNER)
                                     if ev2 is not None and ev2[0] < _NOISE_TAG_BASE:
                                         inv_everywhere(ev2[0])
@@ -1080,8 +1068,7 @@ class AttackKernels:
                         if eowner >= 0:
                             inv_private(eowner, etag)
                             back_inv += 1
-                        if ((hrand() < reuse_p) if reuse_take is None
-                                else reuse_take(sidx)):
+                        if hrand() < reuse_p:
                             ev2 = llc_insert(sidx, etag, SHARED_OWNER)
                             if ev2 is not None and ev2[0] < _NOISE_TAG_BASE:
                                 inv_everywhere(ev2[0])
@@ -1291,7 +1278,6 @@ class AttackKernels:
         llc_insert = llc.insert
         hrand = hier._rng.random
         reuse_p = hier.cfg.reuse_predictor_p
-        reuse_take = hier._reuse_take if hier.crng is not None else None
         handle_victim = hier._handle_l2_victim
         sidx_get = hier._sidx_memo.get
         shared_set_index = hier.shared_set_index
@@ -1326,7 +1312,6 @@ class AttackKernels:
         if noise is not None:
             nrng = noise._rng
             nrand = nrng.random
-            crng = noise.crng
             sf_rate = noise._sf_rate
             llc_rate = noise._llc_rate
             sf_nt = sf._noise_t
@@ -1354,9 +1339,7 @@ class AttackKernels:
                     if now > old:
                         sf_nt[sidx] = now
                         lam = sf_rate * (now - old)
-                        if crng is not None:
-                            n = crng.noise_poisson(S_NOISE_SF, sidx, old, lam)
-                        elif lam < 0.01:
+                        if lam < 0.01:
                             n = 1 if nrand() < lam else 0
                         else:
                             n = poisson(nrng, lam)
@@ -1374,9 +1357,7 @@ class AttackKernels:
                     if now > old:
                         llc_nt[sidx] = now
                         lam = llc_rate * (now - old)
-                        if crng is not None:
-                            n = crng.noise_poisson(S_NOISE_LLC, sidx, old, lam)
-                        elif lam < 0.01:
+                        if lam < 0.01:
                             n = 1 if nrand() < lam else 0
                         else:
                             n = poisson(nrng, lam)
@@ -1432,8 +1413,7 @@ class AttackKernels:
                         if eowner >= 0:
                             inv_private(eowner, etag)
                             back_inv += 1
-                        if ((hrand() < reuse_p) if reuse_take is None
-                                else reuse_take(sidx)):
+                        if hrand() < reuse_p:
                             ev2 = llc_insert(sidx, etag, SHARED_OWNER)
                             if ev2 is not None and ev2[0] < _NOISE_TAG_BASE:
                                 inv_everywhere(ev2[0])

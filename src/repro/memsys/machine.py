@@ -54,16 +54,6 @@ class Machine:
         )
         if self.noise.enabled:
             self.hierarchy.noise_source = self.noise
-        if cfg.rng_mode == "counter":
-            # Built straight from the seed, NOT from self._rng: the
-            # spawn sequence above is the serial-mode determinism
-            # contract and must not shift between modes (preemption,
-            # jitter and address-space layout stay serial either way).
-            from ..rng import CounterRng
-
-            crng = CounterRng(seed)
-            self.hierarchy.bind_counter_rng(crng)
-            self.noise.crng = crng
         self._preempt_rng = spawn_rng(self._rng, "preempt")
         self._jitter_rng = spawn_rng(self._rng, "jitter")
         self._aspace_rng = spawn_rng(self._rng, "aspace")

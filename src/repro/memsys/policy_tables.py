@@ -34,7 +34,6 @@ import random
 from typing import Dict, List, Type
 
 from ..errors import ConfigurationError
-from ..rng import S_VICTIM
 
 
 class PolicyTable:
@@ -244,26 +243,14 @@ class RandomTable(PolicyTable):
     ``victim`` must be stable between the query and the subsequent fill,
     so the choice is drawn lazily and cached until consumed by a fill —
     preserving the seed policy's RNG consumption points exactly.
-
-    In counter mode (:meth:`bind_keyed`) each consumed draw is keyed by
-    ``(cache_id, set_index, per-set draw count)`` instead of the serial
-    stream position; the lazy pending-victim caching (and therefore the
-    points at which a draw is consumed) is identical in both modes,
-    because ``stride == 1`` makes ``base`` the set index.
     """
 
-    __slots__ = ("_rng", "_keyed", "_ctr")
+    __slots__ = ("_rng",)
 
     def __init__(self, ways: int, rng: random.Random = None) -> None:
         super().__init__(ways, rng)
         self.stride = 1
         self._rng = rng if rng is not None else random.Random(0)
-        self._keyed = None
-        self._ctr: Dict[int, int] = {}
-
-    def bind_keyed(self, crng, cache_id: int) -> None:
-        """Switch victim draws to event-keyed mode (see repro.rng)."""
-        self._keyed = (crng, cache_id)
 
     def make_state(self, n_sets: int) -> List[int]:
         return [-1] * n_sets
@@ -277,15 +264,7 @@ class RandomTable(PolicyTable):
     def victim(self, state: List[int], base: int) -> int:
         pending = state[base]
         if pending < 0:
-            keyed = self._keyed
-            if keyed is None:
-                pending = self._rng.randrange(self.ways)
-            else:
-                crng, cache_id = keyed
-                ctr = self._ctr
-                rc = ctr.get(base, 0)
-                ctr[base] = rc + 1
-                pending = crng.randrange(S_VICTIM, cache_id, base, rc, self.ways)
+            pending = self._rng.randrange(self.ways)
             state[base] = pending
         return pending
 

@@ -17,26 +17,33 @@ This module holds the index math those defenses
   for a fixed set index, distinct tags land in unrelated sets — which is
   what breaks congruence-based eviction-set construction.
 * :func:`keyed_choice` — a keyed deterministic selector (used for skew
-  selection), a pure function of ``(key, tag)`` like every draw in the
-  counter-RNG contract, so all execution tiers agree without consuming
-  any shared RNG stream.
+  selection), a pure function of ``(key, tag)``, so all execution tiers
+  agree without consuming any shared RNG stream.
 
 Everything here is deterministic in ``(seed, epoch)`` and free of
 ``random.Random`` draws at index time, mirroring
 :mod:`repro.memsys.slice_hash` (whose seeded masks stand in for the
-undocumented per-SKU hardware constants) and reusing the SplitMix64
-finalizer from :mod:`repro.rng`.
+undocumented per-SKU hardware constants).  The mixer is the SplitMix64
+finalizer (Steele et al., "Fast splittable pseudorandom number
+generators"): full 64-bit avalanche, not cryptographic.
 """
 
 from __future__ import annotations
 
 from .._util import make_rng
 from ..errors import ConfigurationError
-from ..rng import _mix64
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _TAG_C = 0xD1342543DE82EF95
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64 finalizer on a 64-bit lane."""
+    z &= _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
 
 
 def derive_master_key(label: str, seed: int) -> int:

@@ -24,7 +24,6 @@ import random
 from typing import List
 
 from ..errors import ConfigurationError
-from ..rng import S_VICTIM
 
 
 class ReplacementPolicy:
@@ -199,25 +198,14 @@ class RandomPolicy(ReplacementPolicy):
 
     ``victim`` must be stable between the query and the subsequent fill, so
     the choice is drawn lazily and cached until consumed by a fill.
-
-    In counter mode (:meth:`bind_keyed`) each consumed draw is keyed by
-    ``(cache_id, set_index, per-set draw count)`` — bit-identical to the
-    flat :class:`repro.memsys.policy_tables.RandomTable` keyed draws,
-    because the lazy caching (the consumption points) is the same.
     """
 
-    __slots__ = ("_rng", "_pending", "_keyed", "_ctr")
+    __slots__ = ("_rng", "_pending")
 
     def __init__(self, ways: int, rng: random.Random = None) -> None:
         super().__init__(ways)
         self._rng = rng if rng is not None else random.Random(0)
         self._pending = None
-        self._keyed = None
-        self._ctr = 0
-
-    def bind_keyed(self, crng, cache_id: int, set_idx: int) -> None:
-        """Switch victim draws to event-keyed mode (see repro.rng)."""
-        self._keyed = (crng, cache_id, set_idx)
 
     def touch(self, way: int) -> None:
         pass
@@ -227,15 +215,7 @@ class RandomPolicy(ReplacementPolicy):
 
     def victim(self) -> int:
         if self._pending is None:
-            keyed = self._keyed
-            if keyed is None:
-                self._pending = self._rng.randrange(self.ways)
-            else:
-                crng, cache_id, set_idx = keyed
-                rc = self._ctr
-                self._ctr = rc + 1
-                self._pending = crng.randrange(
-                    S_VICTIM, cache_id, set_idx, rc, self.ways)
+            self._pending = self._rng.randrange(self.ways)
         return self._pending
 
     def invalidate(self, way: int) -> None:

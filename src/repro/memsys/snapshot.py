@@ -3,9 +3,9 @@
 :func:`checkpoint` captures everything a trial's future behavior can
 depend on — per-cache tag/owner/occupancy/policy-state planes, the
 ``_where`` tag index, per-set noise-reconciliation clocks, replacement
-policy scalars (LRU stamp counters, keyed-victim draw counts), the
-hierarchy stats block, the simulated clock and pending event heap, and
-the full ``getstate()`` of every serial RNG stream — and
+policy scalars (LRU stamp counters), the hierarchy stats block, the
+simulated clock and pending event heap, and the full ``getstate()`` of
+every serial RNG stream — and
 :func:`restore` puts a machine back bit-for-bit, verified against the
 canonical :func:`~repro.check.digest.machine_digest` captured at
 checkpoint time.
@@ -20,10 +20,9 @@ draws a globally unique *flush epoch* (:data:`repro.memsys.cache._EPOCHS`)
 and an epoch mismatch downgrades that cache to a full plane rewrite.
 
 Checkpoints deliberately exclude pure memo caches (translation planes,
-vec/construct memos, the ``CounterRng`` half-key memo): they
-are derivable functions of state or of ``(seed, key)`` and restoring
-around them cannot change observable behavior.  The digest verification at
-restore is exactly the proof of that exclusion.
+the monitor-round memo): they are derivable functions of state and
+restoring around them cannot change observable behavior.  The digest
+verification at restore is exactly the proof of that exclusion.
 
 Works on all execution tiers: the flat plane
 (:class:`~repro.memsys.cache.SetAssociativeCache`), the reference
@@ -66,7 +65,7 @@ class _PlaneSnap:
 
     __slots__ = (
         "epoch", "tags", "owners", "occ", "state", "where", "noise_t",
-        "touched", "touched_count", "lru_stamp", "lru_inv", "vctr",
+        "touched", "touched_count", "lru_stamp", "lru_inv",
         "policy_touches", "policy_fills", "policy_victims",
     )
 
@@ -86,8 +85,6 @@ class _PlaneSnap:
             self.lru_inv = lru._inv_stamp
         else:
             self.lru_stamp = self.lru_inv = None
-        ctr = getattr(cache._pol, "_ctr", None)
-        self.vctr = dict(ctr) if ctr is not None else None
         self.policy_touches = cache.policy_touches
         self.policy_fills = cache.policy_fills
         self.policy_victims = cache.policy_victims
@@ -135,8 +132,6 @@ class _PlaneSnap:
         if lru is not None:
             lru._stamp = self.lru_stamp
             lru._inv_stamp = self.lru_inv
-        if self.vctr is not None:
-            cache._pol._ctr = dict(self.vctr)
         cache.policy_touches = self.policy_touches
         cache.policy_fills = self.policy_fills
         cache.policy_victims = self.policy_victims
@@ -145,28 +140,23 @@ class _PlaneSnap:
 class _RefSnap:
     """Deepcopy capture of the reference dict-of-sets oracle.
 
-    Policy objects hold a reference to the cache's (shared) serial RNG
-    and, in counter mode, to the CounterRng — both are pinned by
-    identity through the deepcopy so the snapshot shares them rather
-    than cloning their state (RNG state is captured once at machine
+    Policy objects hold a reference to the cache's (shared) serial RNG,
+    pinned by identity through the deepcopy so the snapshot shares it
+    rather than cloning its state (RNG state is captured once at machine
     level).  Not a hot path, exactly like the tier it snapshots.
     """
 
     __slots__ = (
-        "sets", "saved_vctr", "saved_clocks", "noise_floor",
+        "sets", "saved_clocks", "noise_floor",
         "policy_touches", "policy_fills", "policy_victims",
     )
 
     @staticmethod
     def _pin(cache) -> Dict[int, Any]:
-        memo: Dict[int, Any] = {id(cache._rng): cache._rng}
-        if cache._keyed is not None:
-            memo[id(cache._keyed[0])] = cache._keyed[0]
-        return memo
+        return {id(cache._rng): cache._rng}
 
     def __init__(self, cache) -> None:
         self.sets = copy.deepcopy(cache._sets, self._pin(cache))
-        self.saved_vctr = dict(cache._saved_vctr)
         self.saved_clocks = dict(cache._saved_clocks)
         self.noise_floor = cache._noise_floor
         self.policy_touches = cache.policy_touches
@@ -175,7 +165,6 @@ class _RefSnap:
 
     def restore(self, cache) -> None:
         cache._sets = copy.deepcopy(self.sets, self._pin(cache))
-        cache._saved_vctr = dict(self.saved_vctr)
         cache._saved_clocks = dict(self.saved_clocks)
         cache._noise_floor = self.noise_floor
         cache.policy_touches = self.policy_touches
@@ -230,15 +219,13 @@ class MachineCheckpoint:
 
     Immutable once taken; a single checkpoint may be restored any
     number of times, onto the machine it came from or onto a freshly
-    built machine of identical configuration (the content-addressed
-    trial-prefix store in :mod:`repro.exec.prefix` does the latter).
+    built machine of identical configuration.
     """
 
     __slots__ = (
         "label", "caches", "now", "event_seq", "events",
         "batch_calls", "batch_lines", "stats", "noise_events",
-        "rng_states", "used_frames", "noise_tag_next",
-        "sf_reuse_ctr", "l2v_ctr", "digest",
+        "rng_states", "used_frames", "noise_tag_next", "digest",
     )
 
     def __init__(self, machine, label: Optional[str]) -> None:
@@ -264,8 +251,6 @@ class MachineCheckpoint:
         }
         self.used_frames = frozenset(machine._used_frames)
         self.noise_tag_next = hier._noise_tag_next
-        self.sf_reuse_ctr = dict(hier._sf_reuse_ctr)
-        self.l2v_ctr = dict(hier._l2v_ctr)
         from ..check.digest import machine_digest
 
         self.digest = machine_digest(machine)
@@ -315,8 +300,6 @@ def restore(machine, cp: MachineCheckpoint, verify: bool = True) -> None:
     machine._used_frames.clear()
     machine._used_frames.update(cp.used_frames)
     hier._noise_tag_next = cp.noise_tag_next
-    hier._sf_reuse_ctr = dict(cp.sf_reuse_ctr)
-    hier._l2v_ctr = dict(cp.l2v_ctr)
     if verify:
         from ..check.digest import diff_keys, machine_digest
 
@@ -332,8 +315,7 @@ def checkpoint_key(cp: MachineCheckpoint) -> str:
     """Stable content address of a checkpoint (digest + label).
 
     Two checkpoints of bit-identical machine states (same label) get
-    the same key; fuzz artifacts and the trial-prefix store record it
-    so a replay can assert it reconstructed the same state.
+    the same key; fuzz artifacts record it so a replay can assert it reconstructed the same state.
     """
     from ..check.digest import obj_digest
 

@@ -1,6 +1,6 @@
 """Shared helpers for the parity suites: digests and monitor set-up.
 
-The parity suites (data plane, kernels, counter RNG, snapshots, defenses)
+The parity suites (data plane, kernels, snapshots, defenses)
 and the differential fuzzer all fingerprint a machine the same way.  The
 implementation lives in :mod:`repro.check.digest` — the fuzz oracle diffs
 exactly what the golden fingerprints pin — and this module re-exports it
@@ -14,7 +14,7 @@ import contextlib
 
 from repro.check.digest import diff_keys, machine_digest, obj_digest, rng_state_digests
 from repro.core.evset.types import EvictionSet
-from repro.memsys import construct_memo_disabled, kernels_disabled, vec_disabled
+from repro.memsys import kernels_disabled, vec_disabled
 
 #: sha256(json(obj, sort_keys))[:16] — the golden-fingerprint hash.
 _h = obj_digest
@@ -31,13 +31,13 @@ PATHS = ["unfused", "kernels", "vec"]
 
 @contextlib.contextmanager
 def _path_guard(path: str):
-    """unfused -> no kernels; kernels -> the VecKernels bundle with both
-    memos off (live rounds and tests); vec -> the default resolution."""
+    """unfused -> no kernels; kernels -> the VecKernels bundle with the
+    monitor-round memo off (live rounds); vec -> the default resolution."""
     if path == "unfused":
         with kernels_disabled():
             yield
     elif path == "kernels":
-        with vec_disabled(), construct_memo_disabled():
+        with vec_disabled():
             yield
     else:
         yield

@@ -211,6 +211,18 @@ class TestArtifacts:
         path = write_artifact(tmp_path / "t.json", trace, {})
         assert replay_artifact(path)["ok"]
 
+    def test_replay_refuses_counter_contract_artifact(self, tmp_path):
+        """Older artifacts record their RNG contract; only serial ones
+        can reproduce their verdict on today's machines."""
+        trace = generate_trace(QUIET, 3)
+        serial = write_artifact(
+            tmp_path / "serial.json", {**trace, "rng": "serial"}, {})
+        assert replay_artifact(serial)["ok"]
+        counter = write_artifact(
+            tmp_path / "counter.json", {**trace, "rng": "counter"}, {})
+        with pytest.raises(ReproError, match="'counter' RNG contract"):
+            replay_artifact(counter)
+
     def test_rejects_non_artifact(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text(json.dumps({"version": 9}))

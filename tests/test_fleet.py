@@ -188,8 +188,8 @@ class TestStoreAndResume:
         after = dict(store.iter_completed())
         assert after == before
         assert store.completed_trials() == 120
-        # A compacted store reads in one pass: each compacted line and
-        # index.json are parsed once, not once per shard.
+        # A compacted store reads in one pass: each compacted line is
+        # parsed once, not once per shard.
         calls = []
         loads = json.loads
 
@@ -208,6 +208,41 @@ class TestStoreAndResume:
         # Compacting again (nothing new) is a no-op for readers.
         store.compact()
         assert dict(store.iter_completed()) == before
+
+    @pytest.mark.parametrize("damage", ["deleted", "garbage"])
+    def test_compacted_trials_survive_a_lost_index(self, tmp_path, damage):
+        """index.json is a cache: losing it after compaction must cost a
+        rescan, never the compacted trials."""
+        campaign = _campaign(trials=40)
+        _, store = run_fleet(campaign, tmp_path, FleetPolicy(shard_size=10))
+        before = dict(store.iter_completed())
+        store.compact()
+        index = store.run_dir / store.INDEX
+        for _ in range(2):
+            if damage == "deleted":
+                index.unlink()
+            else:
+                index.write_text("{not json")
+            assert store.completed_trials() == 40
+            assert store.pending_shards() == []
+            assert dict(store.iter_completed()) == before
+            assert [v for _, v in store.iter_values()] == \
+                _serial_values(campaign)
+            # Compacting again keeps every trial (the second pass of the
+            # loop damages the index this compaction rewrote).
+            store.compact()
+            assert dict(store.iter_completed()) == before
+
+    def test_compacted_file_of_another_campaign_is_ignored(self, tmp_path):
+        campaign = _campaign(trials=40)
+        _, store = run_fleet(campaign, tmp_path, FleetPolicy(shard_size=10))
+        compacted = store.compact()
+        lines = compacted.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["fingerprint"] = "0" * 64
+        compacted.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        assert store.completed_trials() == 0
+        assert len(store.pending_shards()) == len(store.shards)
 
     def test_partial_compaction_keeps_live_segments(self, tmp_path):
         campaign = _campaign(trials=200)

@@ -25,7 +25,6 @@ budgets) so CI runs it on every push.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 
 import pytest
 
@@ -99,11 +98,9 @@ def test_kernels_disabled_context_forces_unfused():
     tester = _resolved(skylake_sp_small())
     with kernels_disabled():
         assert tester._kernels() is None
-    # One bundle per machine: the memo-replay bundle under either RNG
-    # contract, none at all on the duck-typed reference caches.
+    # One bundle per machine: the memo-replay bundle, none at all on the
+    # duck-typed reference caches.
     assert type(tester._kernels()) is VecKernels
-    counter = dataclasses.replace(skylake_sp_small(), rng_mode="counter")
-    assert type(_resolved(counter)._kernels()) is VecKernels
     assert _resolved(skylake_sp_small(), reference=True)._kernels() is None
 
 
@@ -147,12 +144,35 @@ def test_monitor_parity(strategy_cls):
     assert runs["kernels"] == runs["unfused"]
 
 
-def _due_victim_run(rng_mode: str, path: str) -> dict:
+def test_vec_replay_actually_engages(monkeypatch):
+    """The memo-replay path must fire on the steady-state monitor loop,
+    with a victim event pending the whole window (otherwise the vec tier
+    silently degenerates to live kernels and the parity suites prove
+    nothing about replay)."""
+    replays = []
+    replay = VecKernels._replay
+
+    def counted(self, *args):
+        replays.append(1)
+        return replay(self, *args)
+
+    monkeypatch.setattr(VecKernels, "_replay", counted)
+    machine = Machine(skylake_sp_small(), noise=cloud_run_noise(), seed=31)
+    ctx = AttackerContext(machine, seed=3)
+    ctx.calibrate()
+    evset, tset = _congruent_evset(ctx, "sf", machine.cfg.sf.ways)
+    interval = 20_000
+    _schedule_victim(machine, _victim_line(machine, tset), 12, interval)
+    monitor_set(ParallelProbing(ctx, evset), duration_cycles=10 * interval)
+    assert machine.pending_events(), "the victim must outlive the window"
+    assert replays
+
+
+def _due_victim_run(path: str) -> dict:
     """Prime+Probe rounds, some starting with a victim store already due
     (scheduled at the current clock), which the round must run before
     it walks the eviction set."""
-    cfg = dataclasses.replace(skylake_sp_small(), rng_mode=rng_mode)
-    machine = Machine(cfg, noise=cloud_run_noise(), seed=31)
+    machine = Machine(skylake_sp_small(), noise=cloud_run_noise(), seed=31)
     ctx = AttackerContext(machine, seed=3)
     ctx.calibrate()
     evset, tset = _congruent_evset(ctx, "sf", machine.cfg.sf.ways)
@@ -171,9 +191,8 @@ def _due_victim_run(rng_mode: str, path: str) -> dict:
     return {"seen": seen, **_machine_digest(machine)}
 
 
-@pytest.mark.parametrize("rng_mode", ["serial", "counter"])
-def test_due_event_runs_before_replayed_round(rng_mode):
-    runs = {path: _due_victim_run(rng_mode, path) for path in PATHS}
+def test_due_event_runs_before_replayed_round():
+    runs = {path: _due_victim_run(path) for path in PATHS}
     assert runs["vec"] == runs["kernels"]
     assert runs["kernels"] == runs["unfused"]
     assert any(runs["vec"]["seen"]), "the due victim stores must be seen"
