@@ -32,10 +32,11 @@ its kernels control's accesses/sec.
 
 ``--stages`` selects a comma-separated subset (``ref``/``reference``,
 ``batched``, ``kernels``, ``vec``, ``batch``) so CI quick
-runs can gate only the stages they care about; cross-stage asserts and
-history updates apply only to what was measured.  Every history entry
-records ``quick``, ``host`` and ``python`` so appended entries stay
-interpretable across machines.
+runs can gate only the stages they care about; cross-stage asserts,
+history updates and the written fields cover only what was measured
+(nothing but ``history`` is carried over from a previous
+``BENCH_perf.json``).  Every history entry records ``quick``, ``host``
+and ``python`` so appended entries stay interpretable across machines.
 
 Workloads:
 
@@ -437,40 +438,12 @@ def _profile_construction(quick: bool):
 
 
 def _load_history(out_path: str) -> list:
-    """The append-only per-PR perf trajectory from a previous run.
-
-    Older payloads predate the ``history`` array; their stored stage
-    metrics are backfilled as the PR that introduced each stage, so the
-    trajectory starts complete.
-    """
+    """The append-only per-PR perf trajectory from a previous run."""
     try:
         old = json.loads(Path(out_path).read_text())
     except (OSError, ValueError):
         return []
-    history = old.get("history")
-    if history:
-        return list(history)
-    keys = ("evsets_per_sec", "accesses_per_sec", "trial_seconds")
-
-    def stage(metrics):
-        return {k: metrics[k] for k in keys if k in metrics}
-
-    backfill = []
-    if "before" in old and "after" in old:
-        backfill.append(
-            {
-                "pr": "PR 2",
-                "stages": {
-                    "reference": stage(old["before"]),
-                    "batched": stage(old["after"]),
-                },
-            }
-        )
-    if "kernels" in old:
-        backfill.append(
-            {"pr": "PR 3", "stages": {"kernels": stage(old["kernels"])}}
-        )
-    return backfill
+    return list(old.get("history") or [])
 
 
 # --- Driver -----------------------------------------------------------------
@@ -617,19 +590,14 @@ def run_perf(
     if vec_results is not None:
         history = _update_history(history, "PR 8", {"vec": vec_results}, quick)
 
-    try:
-        old_payload = json.loads(Path(out_path).read_text())
-    except (OSError, ValueError):
-        old_payload = {}
-    payload = {
-        "quick": quick,
-        "stages_run": sorted(sel),
-        "profile": profile if profile is not None
-        else old_payload.get("profile"),
-        "dataplane": dataplane if dataplane is not None
-        else old_payload.get("dataplane"),
-        "history": history,
-    }
+    # Only what this run measured: a field carried over from an earlier
+    # run (another host, another code version) would be read as if it
+    # were measured beside this run's numbers.
+    payload = {"quick": quick, "stages_run": sorted(sel), "history": history}
+    if profile is not None:
+        payload["profile"] = profile
+    if dataplane is not None:
+        payload["dataplane"] = dataplane
     if full_serial:
         payload.update(
             {
@@ -640,19 +608,10 @@ def run_perf(
                 "kernel_speedup": kernel_speedup,
             }
         )
-    else:
-        for key in ("before", "after", "kernels", "speedup",
-                    "kernel_speedup"):
-            if key in old_payload:
-                payload[key] = old_payload[key]
     if vec_results is not None:
         payload["vec"] = vec_results
-    elif "vec" in old_payload:
-        payload["vec"] = old_payload["vec"]
     if batch_results is not None:
         payload["batch"] = batch_results
-    elif "batch" in old_payload:
-        payload["batch"] = old_payload["batch"]
     Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nWrote {out_path}")
 

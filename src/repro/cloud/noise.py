@@ -63,9 +63,9 @@ class BackgroundNoise:
         the outcome, so simulating them would be pure waste.
 
         The SF block runs before the LLC block and each block draws from the
-        shared RNG in a fixed order; :meth:`reconcile_many` loops sets in
-        caller order through this same routine, so batched and per-access
-        reconciliation consume the RNG identically (bit-identical trials).
+        shared RNG in a fixed order; every batched caller reconciles through
+        this same routine, so batched and per-access reconciliation consume
+        the RNG identically (bit-identical trials).
 
         This runs on *every* access, so the common case — a few elapsed
         cycles, no event — is inlined: one ``exchange_noise_clock`` call and
@@ -105,17 +105,6 @@ class BackgroundNoise:
                     for _ in range(n):
                         hier.noise_insert_llc(sidx)
                     self.events += n
-
-    def reconcile_many(self, hier, sidxs, now: int) -> None:
-        """Reconcile several shared sets up to ``now``, in caller order.
-
-        Duplicate indices are harmless: the second visit sees ``dt == 0``
-        and draws nothing, exactly as repeated per-access reconciliation
-        at a fixed ``now`` would.
-        """
-        reconcile = self.reconcile
-        for sidx in sidxs:
-            reconcile(hier, sidx, now)
 
     def expected_events(self, cycles: int) -> float:
         """Expected number of noise events per set over ``cycles``."""

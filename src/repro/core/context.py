@@ -3,9 +3,9 @@
 Bundles everything the attack code needs: the attacker container's address
 space on the shared machine, its two pinned cores (main + helper thread, as
 deployed in Section 4.2), VA->line translation memoization, latency
-thresholds calibrated from timed loads, and the traversal primitives
-(parallel / pointer-chase, private / shared / store) that every higher
-level builds on.
+thresholds calibrated from timed loads, single-line operations, the
+pointer-chase traversal, and the machine's fused-kernel bundle
+(:meth:`AttackerContext.kernels`) that the higher levels traverse with.
 """
 
 from __future__ import annotations
@@ -181,27 +181,6 @@ class AttackerContext:
 
     # -- Traversals ----------------------------------------------------------------
 
-    def traverse_parallel(
-        self, vas: Sequence[int], n: Optional[int] = None, shared: bool = False,
-        write: bool = False, same_set: bool = False,
-    ) -> int:
-        """Overlapped traversal of the first ``n`` addresses.
-
-        ``shared=True`` interleaves a helper-core shadow access per line (the
-        helper runs concurrently; only main-core progress advances time).
-        ``same_set=True`` asserts all addresses are congruent (an eviction
-        set) so background noise is reconciled once per batch.
-        Returns elapsed cycles.
-        """
-        lines = self.lines(vas if n is None else vas[:n])
-        if not shared:
-            return self.machine.access_batch(
-                self.main_core, lines, write=write, same_shared_set=same_set
-            )
-        return self.machine.access_batch(
-            self.main_core, lines, shadow_core=self.helper_core
-        )
-
     def traverse_chase(
         self, vas: Sequence[int], n: Optional[int] = None, shared: bool = False,
         write: bool = False,
@@ -213,20 +192,6 @@ class AttackerContext:
             lines,
             write=write,
             shadow_core=self.helper_core if shared else None,
-        )
-
-    def probe_parallel(
-        self, vas: Sequence[int], n: Optional[int] = None, write: bool = False,
-        same_set: bool = False,
-    ) -> int:
-        """Timed overlapped traversal, as a Prime+Probe probe measures it.
-
-        Same cost model as :meth:`traverse_parallel` plus the fixed timer
-        overhead (see :meth:`Machine.probe_batch`).
-        """
-        lines = self.lines(vas if n is None else vas[:n])
-        return self.machine.probe_batch(
-            self.main_core, lines, write=write, same_shared_set=same_set
         )
 
     # -- Threshold calibration --------------------------------------------------------

@@ -13,10 +13,10 @@ fails a verification test, and repaired by growing UB with a large stride
 until the prefix evicts again, then restarting the iteration's search.
 
 Each probe is one ``tester.test`` over a prefix of the same ``addrs``
-list, so on an engaged data plane every query hits the fused
-``test_eviction_kernel`` and the shared :class:`TranslationPlane` rows
-for the pool (DESIGN.md §2.3) — binary search issues O(W log N) tests
-and amortizes translation across all of them.
+list, so on an engaged data plane every query runs the fused
+``traverse_kernel`` over the shared :class:`TranslationPlane` rows for
+the pool (DESIGN.md §2.3) — binary search issues O(W log N) tests and
+amortizes translation across all of them.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ offset 0 can be *shifted* by a small delta to obtain filtered groups at any
 other page offset (L2 congruence is preserved under same-page shifts).
 
 Filtering is the heaviest ``test_many`` caller — one L2 eviction set
-tested against hundreds of candidates — so it is the main beneficiary of
-the fused ``test_many_kernel`` (DESIGN.md §2.3), which translates the
-traversal once and reuses the plane rows for every per-candidate
-prime/traverse/reload cycle.
+tested against hundreds of candidates.  Each candidate's test runs the
+fused ``traverse_kernel`` (DESIGN.md §2.3) over the L2 eviction set's
+plane rows, which are translated once and memoized for every
+per-candidate prime/traverse/reload cycle.
 """
 
 from __future__ import annotations

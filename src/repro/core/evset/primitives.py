@@ -38,10 +38,6 @@ class EvictionTester:
         mode: ``"llc"``, ``"sf"``, or ``"l2"``.
         parallel: Use overlapped traversal (True) or pointer-chase (False).
         repeats: Traversals per test (1 suffices under LRU-like policies).
-        use_kernels: Route parallel tests through the fused attack
-            kernels (DESIGN.md §2.3) when the machine's data plane
-            supports them.  False forces the unfused path — the parity
-            baseline the kernel suite diffs against.
     """
 
     def __init__(
@@ -50,7 +46,6 @@ class EvictionTester:
         mode: str = "llc",
         parallel: bool = True,
         repeats: int = 1,
-        use_kernels: bool = True,
     ) -> None:
         if mode not in ("llc", "sf", "l2"):
             raise ConfigurationError(f"unknown TestEviction mode {mode!r}")
@@ -58,7 +53,6 @@ class EvictionTester:
         self.mode = mode
         self.parallel = parallel
         self.repeats = max(1, repeats)
-        self.use_kernels = use_kernels
         cfg = ctx.machine.cfg
         self.ways = {"llc": cfg.llc.ways, "sf": cfg.sf.ways, "l2": cfg.l2.ways}[mode]
         # Partition-aware dynamic associativity: a way-partitioned shared
@@ -80,10 +74,6 @@ class EvictionTester:
         self.n_tests = 0
         self.traversed_addresses = 0
 
-    def _kernels(self):
-        """The context's kernel bundle, or None for the unfused path."""
-        return self.ctx.kernels() if self.use_kernels else None
-
     # -- State manipulation ------------------------------------------------------
 
     def prime_target(self, target_va: int) -> None:
@@ -97,20 +87,18 @@ class EvictionTester:
         clflush is always available.  (Stores carry their own RFO, so the
         SF mode needs no flush.)
         """
-        self._prime_line(self.ctx.line(target_va))
-
-    def _prime_line(self, tline: int) -> None:
-        """:meth:`prime_target` on a pre-translated line (batched callers)."""
-        machine = self.ctx.machine
+        ctx = self.ctx
+        machine = ctx.machine
+        tline = ctx.line(target_va)
         if self.mode == "llc":
             machine.flush(tline)
-            machine.access(self.ctx.main_core, tline)
-            machine.access(self.ctx.helper_core, tline, advance=False)
+            machine.access(ctx.main_core, tline)
+            machine.access(ctx.helper_core, tline, advance=False)
         elif self.mode == "sf":
-            machine.access(self.ctx.main_core, tline, write=True)
+            machine.access(ctx.main_core, tline, write=True)
         else:
             machine.flush(tline)
-            machine.access(self.ctx.main_core, tline)
+            machine.access(ctx.main_core, tline)
 
     def traverse(self, vas: Sequence[int], n: Optional[int] = None) -> None:
         """Flush then access the first ``n`` candidates in this mode's state.
@@ -121,9 +109,13 @@ class EvictionTester:
         pressure on the tested structure — small candidate prefixes would
         silently stop testing anything.  Flushing first makes every
         candidate contribute exactly one insertion.
+
+        This is where every test picks its path: the context's fused
+        kernels (DESIGN.md §2.3) when they engage, else the Machine
+        batch APIs.
         """
         count = len(vas) if n is None else min(n, len(vas))
-        kernels = self._kernels()
+        kernels = self.ctx.kernels()
         if kernels is not None:
             rows = self.ctx.rows(vas)
             if self.parallel:
@@ -181,19 +173,6 @@ class EvictionTester:
     def test(self, target_va: int, vas: Sequence[int], n: Optional[int] = None) -> bool:
         """TestEviction: do the first ``n`` candidates evict the target?"""
         self.n_tests += 1
-        count = len(vas) if n is None else min(n, len(vas))
-        kernels = self._kernels()
-        if kernels is not None and self.parallel:
-            verdict = kernels.test_eviction_kernel(
-                self.mode,
-                self.ctx.line(target_va),
-                self.ctx.rows(vas),
-                count,
-                self.repeats,
-                self.threshold,
-            )
-            self.traversed_addresses += count * self.repeats
-            return verdict
         self.prime_target(target_va)
         self.traverse(vas, n)
         return self.check_evicted(target_va)
@@ -203,37 +182,12 @@ class EvictionTester:
     ) -> List[bool]:
         """TestEviction of each target against one fixed candidate list.
 
-        The batched form of calling :meth:`test` in a loop: the candidate
-        traversal is translated once and reused for every target, and the
-        per-target prime and verdict reload run on pre-translated lines
-        through the Machine directly (the big win in candidate filtering,
-        where the same L2 eviction set is tested against hundreds of
-        candidates).
+        :meth:`test` per target, in order.  The candidate tuple's
+        translation is memoized (``AttackerContext.rows`` / ``lines``), so
+        candidate filtering, which tests one L2 eviction set against
+        hundreds of candidates, translates it once.
         """
-        count = len(vas) if n is None else min(n, len(vas))
-        targets = len(target_vas)
-        line = self.ctx.line
-        tlines = [line(va) for va in target_vas]
-        kernels = self._kernels()
-        if kernels is not None and self.parallel:
-            self.n_tests += targets
-            verdicts = kernels.test_many_kernel(
-                self.mode, tlines, self.ctx.rows(vas), count, self.repeats,
-                self.threshold,
-            )
-            self.traversed_addresses += count * self.repeats * targets
-            return verdicts
-        machine = self.ctx.machine
-        main_core = self.ctx.main_core
-        threshold = self.threshold
-        lines = self.ctx.lines(vas if count == len(vas) else vas[:count])
-        verdicts: List[bool] = []
-        for tline in tlines:
-            self.n_tests += 1
-            self._prime_line(tline)
-            self._traverse_lines(lines)
-            verdicts.append(machine.timed_access(main_core, tline) > threshold)
-        return verdicts
+        return [self.test(target, vas, n) for target in target_vas]
 
     def is_eviction_set(self, target_va: int, vas: Sequence[int], votes: int = 1) -> bool:
         """Verify a (small) set evicts the target; majority over ``votes``."""

@@ -22,6 +22,9 @@ Layout (one flat plane per cache, no per-set objects):
   by the hierarchy's noise hook).  The clock plane deliberately survives
   :meth:`flush_all`: dropping it with the lines would make the next access
   draw a Poisson catch-up over the entire elapsed simulated time.
+* ``_touched`` — per-set bytemap of sets ever inserted into or
+  noise-reconciled since the last :meth:`flush_all` (:attr:`touched_sets`;
+  the invariant checker's shallow scan visits only these sets).
 
 The seed dict-of-sets implementation lives on in
 :mod:`repro.memsys._reference` as the parity oracle; the parity suite pins
@@ -30,18 +33,10 @@ this plane to it seed-for-seed.
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import List, Optional, Tuple
 
 from .policy_tables import LRUTable, SRRIPTable, make_policy_table
-
-#: Globally unique flush-generation labels (see ``_flush_epoch``).  Drawn
-#: at construction and at every :meth:`SetAssociativeCache.flush_all` so
-#: that no two flush generations — across caches, machines, or
-#: checkpoint/restore lineages — ever share a value.  Pure identity
-#: labels: never drawn from an RNG, never part of any digest.
-_EPOCHS = itertools.count(1)
 
 
 class SetAssociativeCache:
@@ -75,7 +70,6 @@ class SetAssociativeCache:
         "_noise_t",
         "_touched",
         "_touched_count",
-        "_flush_epoch",
         "policy_touches",
         "policy_fills",
         "policy_victims",
@@ -117,10 +111,6 @@ class SetAssociativeCache:
         self._noise_t: List[int] = [0] * n_sets
         self._touched = bytearray(n_sets)
         self._touched_count = 0
-        #: Flush-generation label (snapshot machinery): rows whose
-        #: ``_touched`` bit is clear are pristine *within* one epoch, so
-        #: a checkpoint restore may skip them iff the epochs match.
-        self._flush_epoch = next(_EPOCHS)
         #: Policy-table operation counters (data-plane observability).
         self.policy_touches = 0
         self.policy_fills = 0
@@ -314,7 +304,6 @@ class SetAssociativeCache:
         self._where = {}
         self._touched = bytearray(self.n_sets)
         self._touched_count = 0
-        self._flush_epoch = next(_EPOCHS)
         if now > 0:
             self._noise_t = [t if t > now else now for t in self._noise_t]
 

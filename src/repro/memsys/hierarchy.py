@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..config import MachineConfig
 from .cache import SetAssociativeCache
-from .policy_tables import TreePLRU8Table
 from .slice_hash import make_slice_hash
 
 #: Owner annotation for background-tenant (noise) lines.
@@ -284,204 +283,19 @@ class CacheHierarchy:
         write: bool = False,
         reconcile_each: bool = True,
     ) -> List[Level]:
-        """Batched :meth:`access`: one call per traversal, not per line.
+        """:meth:`access` for each line of a traversal, in order.
 
-        Semantically identical to ``[access(core, ln, now, write=write,
-        reconcile=reconcile_each) for ln in lines]`` — the parity suite pins
-        this equivalence — but the private-cache *hit* path (the bulk of
-        every monitoring traversal) is walked inline on the flat planes:
-        one dict probe plus one state store per line, no per-line Python
-        call frames.  Anything that is not a plain hit falls back to
-        :meth:`access` / :meth:`_write`, whose hit probes are side-effect-
-        free on a miss, so the re-probe is unobservable.
-
-        When a cache has been swapped for a duck-typed stand-in (the seed
-        reference oracle, a way-partitioned defense wrapper), the fast path
-        disengages and every line takes the generic route.
+        ``[access(core, ln, now, write=write, reconcile=reconcile_each)
+        for ln in lines]``: the batch entry point of
+        :meth:`Machine.access_batch` and of the invariant hook
+        (:mod:`repro.check.invariants`).  The fused kernels
+        (:mod:`repro.memsys.kernels`) walk their own inline hit path.
         """
-        l1 = self.l1[core]
-        l2 = self.l2[core]
-        if (
-            type(l1) is not SetAssociativeCache
-            or type(l2) is not SetAssociativeCache
-            or (write and type(self.sf) is not SetAssociativeCache)
-        ):
-            if write:
-                w = self._write
-                return [w(core, ln, now, reconcile=reconcile_each) for ln in lines]
-            a = self.access
-            return [a(core, ln, now, reconcile=reconcile_each) for ln in lines]
-        stats = self.stats
-        noise = self.noise_source if reconcile_each else None
-        memo = self._sidx_memo
-        l1_mask = self._l1_mask
-        l1_nsets = l1.n_sets
-        l1_where = l1._where
-        l1_state = l1._state
-        l1_lru = l1._lru
-        l1_rrip = l1._rrip
-        l1_touch = l1._pt_touch
-        l1_pstride = l1._pstride
-        l1_ways = l1.ways
-        l1_insert = l1.insert
-        # The 8-way Tree-PLRU L1 of the Skylake presets gets its unrolled
-        # touch (see TreePLRU8Table) expanded in the traversal loop itself —
-        # the single hottest statement in the simulator.
-        l1_tree8 = type(l1._pol) is TreePLRU8Table
-        l2_mask = self._l2_mask
-        l2_nsets = l2.n_sets
-        l2_where = l2._where
-        l2_state = l2._state
-        l2_lru = l2._lru
-        l2_rrip = l2._rrip
-        l2_touch = l2._pt_touch
-        l2_pstride = l2._pstride
-        l2_ways = l2.ways
-        level_l1 = Level.L1
-        level_l2 = Level.L2
-        out: List[Level] = []
-        append = out.append
-        # Fast-path hit counts, folded into the shared counters once at the
-        # end instead of three attribute read-modify-writes per line.
-        hits1 = 0
-        hits2 = 0
-        if not write:
-            access = self.access
-            for line in lines:
-                if noise is not None:
-                    sidx = memo.get(line)
-                    if sidx is None:
-                        sidx = self.shared_set_index(line)
-                    noise.reconcile(self, sidx, now)
-                set_idx = line & l1_mask
-                slot = l1_where.get(line * l1_nsets + set_idx)
-                if slot is not None:
-                    hits1 += 1
-                    if l1_tree8:
-                        base = set_idx * 7
-                        way = slot - set_idx * 8
-                        b0 = (way >> 2) & 1
-                        l1_state[base] = 1 - b0
-                        b1 = (way >> 1) & 1
-                        node = 1 + b0
-                        l1_state[base + node] = 1 - b1
-                        l1_state[base + 2 * node + 1 + b1] = 1 - (way & 1)
-                    elif l1_lru is not None:
-                        l1_lru._stamp = stamp = l1_lru._stamp + 1
-                        l1_state[slot] = stamp
-                    elif l1_rrip:
-                        l1_state[slot] = 0
-                    else:
-                        l1_touch(
-                            l1_state, set_idx * l1_pstride, slot - set_idx * l1_ways
-                        )
-                    append(level_l1)
-                    continue
-                # A traversal of a ways-sized eviction set spills its own
-                # lines out of the (smaller) L1 set — the L2 hit is just as
-                # hot as the L1 hit, so it is inlined too.
-                l2_idx = line & l2_mask
-                slot2 = l2_where.get(line * l2_nsets + l2_idx)
-                if slot2 is None:
-                    append(access(core, line, now, reconcile=False))
-                    continue
-                hits2 += 1
-                if l2_lru is not None:
-                    l2_lru._stamp = stamp = l2_lru._stamp + 1
-                    l2_state[slot2] = stamp
-                elif l2_rrip:
-                    l2_state[slot2] = 0
-                else:
-                    l2_touch(l2_state, l2_idx * l2_pstride, slot2 - l2_idx * l2_ways)
-                l1_insert(set_idx, line, core)
-                append(level_l2)
-            if hits1 or hits2:
-                stats.accesses += hits1 + hits2
-                stats.l1_hits += hits1
-                stats.l2_hits += hits2
-                l1.policy_touches += hits1
-                l2.policy_touches += hits2
-            return out
-        # Store traversal: the fast path is the already-exclusive write hit
-        # (SF owner == core, line in L1 or L2) — probe SF and the private
-        # caches inline, touch in the generic path's exact order (private
-        # touch/refill, then the SF recency refresh), and leave every other
-        # transition to _write.
-        sf = self.sf
-        sf_nsets = sf.n_sets
-        sf_where = sf._where
-        sf_owners = sf._owners
-        sf_state = sf._state
-        sf_lru = sf._lru
-        sf_rrip = sf._rrip
-        sf_touch = sf._pt_touch
-        sf_pstride = sf._pstride
-        sf_ways = sf.ways
-        wr = self._write
-        for line in lines:
-            sidx = memo.get(line)
-            if sidx is None:
-                sidx = self.shared_set_index(line)
-            if noise is not None:
-                noise.reconcile(self, sidx, now)
-            sslot = sf_where.get(line * sf_nsets + sidx)
-            if sslot is None or sf_owners[sslot] != core:
-                append(wr(core, line, now, reconcile=False))
-                continue
-            set_idx = line & l1_mask
-            slot = l1_where.get(line * l1_nsets + set_idx)
-            if slot is not None:
-                hits1 += 1
-                if l1_tree8:
-                    base = set_idx * 7
-                    way = slot - set_idx * 8
-                    b0 = (way >> 2) & 1
-                    l1_state[base] = 1 - b0
-                    b1 = (way >> 1) & 1
-                    node = 1 + b0
-                    l1_state[base + node] = 1 - b1
-                    l1_state[base + 2 * node + 1 + b1] = 1 - (way & 1)
-                elif l1_lru is not None:
-                    l1_lru._stamp = stamp = l1_lru._stamp + 1
-                    l1_state[slot] = stamp
-                elif l1_rrip:
-                    l1_state[slot] = 0
-                else:
-                    l1_touch(l1_state, set_idx * l1_pstride, slot - set_idx * l1_ways)
-                level = level_l1
-            else:
-                l2_idx = line & l2_mask
-                slot2 = l2_where.get(line * l2_nsets + l2_idx)
-                if slot2 is None:
-                    append(wr(core, line, now, reconcile=False))
-                    continue
-                hits2 += 1
-                if l2_lru is not None:
-                    l2_lru._stamp = stamp = l2_lru._stamp + 1
-                    l2_state[slot2] = stamp
-                elif l2_rrip:
-                    l2_state[slot2] = 0
-                else:
-                    l2_touch(l2_state, l2_idx * l2_pstride, slot2 - l2_idx * l2_ways)
-                l1_insert(set_idx, line, core)
-                level = level_l2
-            # SF recency refresh == insert(update_owner=False) hit path.
-            if sf_lru is not None:
-                sf_lru._stamp = stamp = sf_lru._stamp + 1
-                sf_state[sslot] = stamp
-            elif sf_rrip:
-                sf_state[sslot] = 0
-            else:
-                sf_touch(sf_state, sidx * sf_pstride, sslot - sidx * sf_ways)
-            append(level)
-        if hits1 or hits2:
-            stats.accesses += hits1 + hits2
-            stats.l1_hits += hits1
-            stats.l2_hits += hits2
-            l1.policy_touches += hits1
-            l2.policy_touches += hits2
-            sf.policy_touches += hits1 + hits2
-        return out
+        access = self.access
+        return [
+            access(core, ln, now, write=write, reconcile=reconcile_each)
+            for ln in lines
+        ]
 
     def _write(self, core: int, line: int, now: int, reconcile: bool = True) -> Level:
         """A store: hit fast if already exclusive, else read-for-ownership.

@@ -13,10 +13,13 @@ This module fuses those loops:
   all group-testing rounds (:class:`PlaneRows`).
 * :class:`AttackKernels` — hierarchy-level kernels that walk those arrays
   with the per-line control flow of the unfused path expanded inline:
-  ``test_eviction_kernel`` (prime + flush + traversal + timed reload),
-  ``test_many_kernel`` (one translated traversal amortized over N
-  targets), and ``prime_probe_kernel`` (the monitors' prime/probe
-  rounds).
+  ``flush_rows``, ``load_sweep`` / ``store_sweep`` and
+  ``traverse_kernel`` (TestEviction's flush + traversal; the tester
+  primes and reloads the target through the Machine on both paths), and
+  ``prime_probe_kernel`` (the monitors' prime/probe rounds).  These
+  sweeps are the only code that walks cache hits inline;
+  ``CacheHierarchy.access_many``, the unfused path's batch entry point,
+  is a plain per-line loop over ``access``.
 
 The RNG-order contract (what keeps trials bit-identical)
 --------------------------------------------------------
@@ -53,7 +56,7 @@ extended first — see DESIGN.md §2.3.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .._util import poisson
 from ..cloud.noise import BackgroundNoise
@@ -256,8 +259,8 @@ class AttackKernels:
 
         Duck-typed stand-ins (the seed reference oracle, defense
         wrappers like ``WayPartitionedCache``, test doubles for the
-        noise source) disengage the kernels entirely — same rule as
-        ``CacheHierarchy.access_many``.
+        noise source) disengage the kernels entirely; the caller then
+        runs the Machine batch APIs, which work on any cache type.
         """
         hier = self.hierarchy
         if type(hier) is not CacheHierarchy:
@@ -1191,7 +1194,7 @@ class AttackKernels:
     def store_sweep(self, rows: PlaneRows, count: int) -> int:
         """Mirror of ``Machine.access_batch(main, lines, write=True)``.
 
-        Inlines the write-hit fast path (as ``access_many`` does) *and*
+        Inlines the write-hit fast path (as ``_monitor_round`` does) *and*
         the post-flush miss path — SF absent, LLC absent — which is the
         provably call-equivalent final branch of ``_write`` (its
         ``sf.remove`` is a no-op there).  Every other transition
@@ -1803,20 +1806,7 @@ class AttackKernels:
         m.advance(elapsed)
         return elapsed
 
-    # -- TestEviction kernels -------------------------------------------------
-
-    def _prime_line(self, mode: str, tline: int) -> None:
-        """``EvictionTester.prime_target`` on a pre-translated line."""
-        m = self.machine
-        if mode == "llc":
-            m.flush(tline)
-            m.access(self.main_core, tline)
-            m.access(self.helper_core, tline, advance=False)
-        elif mode == "sf":
-            m.access(self.main_core, tline, write=True)
-        else:
-            m.flush(tline)
-            m.access(self.main_core, tline)
+    # -- TestEviction traversal ---------------------------------------------
 
     def traverse_kernel(self, mode: str, rows: PlaneRows, count: int,
                         repeats: int) -> None:
@@ -1831,24 +1821,3 @@ class AttackKernels:
         else:
             for _ in range(repeats):
                 self.load_sweep(rows, count)
-
-    def test_eviction_kernel(self, mode: str, tline: int, rows: PlaneRows,
-                             count: int, repeats: int, threshold: int) -> bool:
-        """One fused TestEviction: prime + flush + traversal + timed reload."""
-        self._prime_line(mode, tline)
-        self.traverse_kernel(mode, rows, count, repeats)
-        return self.machine.timed_access(self.main_core, tline) > threshold
-
-    def test_many_kernel(self, mode: str, tlines: Sequence[int],
-                         rows: PlaneRows, count: int, repeats: int,
-                         threshold: int) -> List[bool]:
-        """TestEviction of N targets against one translated traversal."""
-        m = self.machine
-        main = self.main_core
-        timed = m.timed_access
-        out: List[bool] = []
-        for tline in tlines:
-            self._prime_line(mode, tline)
-            self.traverse_kernel(mode, rows, count, repeats)
-            out.append(timed(main, tline) > threshold)
-        return out

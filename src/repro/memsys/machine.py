@@ -195,9 +195,11 @@ class Machine:
     ) -> int:
         """Overlapped (MLP) traversal of ``lines``; returns elapsed cycles.
 
-        The one batched entry point every traversal routes through: the
-        Python-call boundary into the memory system is crossed once per
-        batch, not once per line.
+        The unfused path's traversal entry point: one Machine call per
+        batch, whose lines the hierarchy then accesses one by one
+        (:meth:`CacheHierarchy.access_many`).  The fused kernels'
+        ``load_sweep`` / ``store_sweep`` / ``prime_probe_kernel`` mirror
+        it bit for bit (DESIGN.md §2.3).
 
         Cost model: the slowest access's full latency plus a per-line issue
         gap (small for private-cache hits, larger for uncore misses).  State

@@ -10,14 +10,10 @@ every serial RNG stream — and
 canonical :func:`~repro.check.digest.machine_digest` captured at
 checkpoint time.
 
-Restore cost is O(touched rows), not O(cache size): the planes'
-existing dirty-set bytemap (``_touched``) tells both sides which sets
-may differ, so only the union of rows touched at capture time and rows
-touched since is rewritten.  A ``flush_all`` between checkpoint and
-restore rebinds the planes and floors *every* noise clock (including
-untouched sets), which the bytemap cannot see — each flush therefore
-draws a globally unique *flush epoch* (:data:`repro.memsys.cache._EPOCHS`)
-and an epoch mismatch downgrades that cache to a full plane rewrite.
+Restore rewrites every plane whole (C-level list/dict copies): its
+callers — the fuzzer's ``restore`` op and
+:func:`~repro.check.digest.assert_digest_memo_blind` — restore a few
+times per trace, so no per-row bookkeeping pays for itself.
 
 Checkpoints deliberately exclude pure memo caches (translation planes,
 the monitor-round memo): they are derivable functions of state and
@@ -35,7 +31,6 @@ way-partitioned shared caches
 from __future__ import annotations
 
 import copy
-import re
 from typing import Any, Dict, List, Optional, Tuple
 
 from .cache import SetAssociativeCache
@@ -48,10 +43,6 @@ __all__ = [
     "checkpoint_key",
 ]
 
-#: C-level scan for dirty-set bytes (values are only ever 0/1).
-_DIRTY = re.compile(b"[^\x00]")
-
-
 class SnapshotParityError(RuntimeError):
     """A restored machine's digest does not match the checkpoint's."""
 
@@ -59,18 +50,17 @@ class SnapshotParityError(RuntimeError):
 class _PlaneSnap:
     """Full capture of one flat :class:`SetAssociativeCache`.
 
-    Capture is all C-level copies (list/dict/bytes constructors); the
-    sparse restore path only runs Python per *dirty* set.
+    Capture and restore are both whole-plane C-level copies
+    (list/dict/bytes constructors).
     """
 
     __slots__ = (
-        "epoch", "tags", "owners", "occ", "state", "where", "noise_t",
+        "tags", "owners", "occ", "state", "where", "noise_t",
         "touched", "touched_count", "lru_stamp", "lru_inv",
         "policy_touches", "policy_fills", "policy_victims",
     )
 
     def __init__(self, cache: SetAssociativeCache) -> None:
-        self.epoch = cache._flush_epoch
         self.tags = list(cache._tags)
         self.owners = list(cache._owners)
         self.occ = list(cache._occ)
@@ -90,42 +80,12 @@ class _PlaneSnap:
         self.policy_victims = cache.policy_victims
 
     def restore(self, cache: SetAssociativeCache) -> None:
-        if cache._flush_epoch != self.epoch:
-            # A flush_all happened on one side of the checkpoint: the
-            # planes were rebound and every noise clock floored, which
-            # the dirty bytemap cannot account for.  Full rewrite.
-            cache._tags = list(self.tags)
-            cache._owners = list(self.owners)
-            cache._occ = list(self.occ)
-            cache._state = list(self.state)
-            cache._noise_t = list(self.noise_t)
-            cache._touched = bytearray(self.touched)
-            cache._flush_epoch = self.epoch
-        else:
-            # Same flush generation: any row not dirty on either side
-            # is untouched since that flush in both states, hence
-            # already identical.  Rewrite only the dirty union.
-            union = (
-                int.from_bytes(self.touched, "little")
-                | int.from_bytes(cache._touched, "little")
-            ).to_bytes(len(self.touched), "little")
-            ways = cache.ways
-            ps = cache._pstride
-            tags, owners, state = cache._tags, cache._owners, cache._state
-            stags, sowners, sstate = self.tags, self.owners, self.state
-            occ, socc = cache._occ, self.occ
-            nt, snt = cache._noise_t, self.noise_t
-            for m in _DIRTY.finditer(union):
-                i = m.start()
-                b = i * ways
-                e = b + ways
-                tags[b:e] = stags[b:e]
-                owners[b:e] = sowners[b:e]
-                occ[i] = socc[i]
-                nt[i] = snt[i]
-                sb = i * ps
-                state[sb:sb + ps] = sstate[sb:sb + ps]
-            cache._touched[:] = self.touched
+        cache._tags = list(self.tags)
+        cache._owners = list(self.owners)
+        cache._occ = list(self.occ)
+        cache._state = list(self.state)
+        cache._noise_t = list(self.noise_t)
+        cache._touched = bytearray(self.touched)
         cache._where = dict(self.where)
         cache._touched_count = self.touched_count
         lru = cache._lru

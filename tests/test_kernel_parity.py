@@ -8,11 +8,13 @@ suites hold them to it:
 
 * **Dynamic parity** — the same TestEviction batteries, monitor loops,
   and eviction-set constructions run twice, fused and unfused
-  (``use_kernels=False`` / :func:`repro.memsys.kernels_disabled`), and
+  (:func:`repro.memsys.kernels_disabled`), and
   every observable must agree exactly: verdicts, hierarchy stats, the
   simulated clock, noise event counts, and the full ``getstate()`` of
   every RNG stream (so not just the same number of draws — the same
-  draws).
+  draws).  The policy-axis cases repeat the batteries and the monitor
+  loop on machines whose replacement policies take the inline walks'
+  other branches (LRU L1, SRRIP / QLRU / random L2, LLC and SF).
 * **Golden fingerprints** — sha256 digests of the fused runs, captured
   from the unfused path.  They freeze trial behavior against drift in
   *either* path: a kernel "optimization" that reorders RNG draws and a
@@ -25,6 +27,7 @@ budgets) so CI runs it on every push.
 from __future__ import annotations
 
 import contextlib
+from dataclasses import replace
 
 import pytest
 
@@ -38,8 +41,14 @@ from tests._parity import (
     _victim_line,
 )
 
+from repro.check.digest import plane_digest
 from repro.check.fuzz import _reference_cache_swap
-from repro.config import cloud_run_noise, no_noise, skylake_sp_small
+from repro.config import (
+    cloud_run_noise,
+    icelake_sp_small,
+    no_noise,
+    skylake_sp_small,
+)
 from repro.core.context import AttackerContext
 from repro.core.evset import EvsetConfig
 from repro.core.evset.candidates import build_candidate_set
@@ -55,22 +64,29 @@ from repro.memsys.vec import VecKernels
 # --- TestEviction parity ----------------------------------------------------
 
 
-def _tester_battery(mode: str, noisy: bool, fused: bool) -> dict:
-    """One deterministic battery of test()/test_many() calls."""
+def _tester_battery(mode: str, noisy: bool, fused: bool,
+                    cfg=skylake_sp_small(), planes: bool = False) -> dict:
+    """One deterministic battery of test()/test_many() calls.
+
+    ``planes`` adds the raw cache planes (:func:`plane_digest`) to the
+    fingerprint, which the golden below does not pin."""
     noise = cloud_run_noise() if noisy else no_noise()
-    machine = Machine(skylake_sp_small(), noise=noise, seed=23)
+    machine = Machine(cfg, noise=noise, seed=23)
     ctx = AttackerContext(machine, seed=2)
     ctx.calibrate()
     cand = build_candidate_set(ctx, 0x140, size=40)
-    tester = EvictionTester(ctx, mode=mode, parallel=True, use_kernels=fused)
-    target, pool = cand.vas[0], cand.vas[1:]
-    verdicts = [tester.test(target, pool, n) for n in (39, 20, 10, 5)]
-    verdicts += tester.test_many(cand.vas[:4], cand.vas[4:], 24)
-    # A repeated traversal exercises the repeats loop inside the kernel.
-    deep = EvictionTester(ctx, mode=mode, parallel=True, repeats=2,
-                          use_kernels=fused)
-    verdicts.append(deep.test(target, pool, 16))
-    return {"verdicts": verdicts, **_machine_digest(machine)}
+    with contextlib.nullcontext() if fused else kernels_disabled():
+        tester = EvictionTester(ctx, mode=mode, parallel=True)
+        target, pool = cand.vas[0], cand.vas[1:]
+        verdicts = [tester.test(target, pool, n) for n in (39, 20, 10, 5)]
+        verdicts += tester.test_many(cand.vas[:4], cand.vas[4:], 24)
+        # A repeated traversal exercises the repeats loop inside the kernel.
+        deep = EvictionTester(ctx, mode=mode, parallel=True, repeats=2)
+        verdicts.append(deep.test(target, pool, 16))
+    out = {"verdicts": verdicts, **_machine_digest(machine)}
+    if planes:
+        out["planes"] = plane_digest(machine)
+    return out
 
 
 @pytest.mark.parametrize("noisy", [False, True], ids=["quiet", "noisy"])
@@ -97,25 +113,25 @@ def _resolved(cfg, reference: bool = False):
 def test_kernels_disabled_context_forces_unfused():
     tester = _resolved(skylake_sp_small())
     with kernels_disabled():
-        assert tester._kernels() is None
+        assert tester.ctx.kernels() is None
     # One bundle per machine: the memo-replay bundle, none at all on the
     # duck-typed reference caches.
-    assert type(tester._kernels()) is VecKernels
-    assert _resolved(skylake_sp_small(), reference=True)._kernels() is None
+    assert type(tester.ctx.kernels()) is VecKernels
+    assert _resolved(skylake_sp_small(), reference=True).ctx.kernels() is None
 
 
 def test_reference_cache_disengages_kernels():
     """The seed oracle (and any duck-typed stand-in) must bypass kernels."""
     tester = _resolved(skylake_sp_small(), reference=True)
     assert tester.ctx.kernels() is None
-    assert tester._kernels() is None
 
 
 # --- Monitor parity ---------------------------------------------------------
 
 
-def _monitor_run(strategy_cls, path: str) -> dict:
-    machine = Machine(skylake_sp_small(), noise=cloud_run_noise(), seed=31)
+def _monitor_run(strategy_cls, path: str, cfg=skylake_sp_small(),
+                 planes: bool = False) -> dict:
+    machine = Machine(cfg, noise=cloud_run_noise(), seed=31)
     ctx = AttackerContext(machine, seed=3)
     ctx.calibrate()
     evset, tset = _congruent_evset(ctx, "sf", machine.cfg.sf.ways)
@@ -126,11 +142,14 @@ def _monitor_run(strategy_cls, path: str) -> dict:
         trace = monitor_set(
             strategy_cls(ctx, evset), duration_cycles=15 * interval + 30_000
         )
-    return {
+    out = {
         "trace": [trace.timestamps, trace.start, trace.end,
                   trace.probe_latencies, trace.prime_latencies],
         **_machine_digest(machine),
     }
+    if planes:
+        out["planes"] = plane_digest(machine)
+    return out
 
 
 @pytest.mark.parametrize(
@@ -142,6 +161,39 @@ def test_monitor_parity(strategy_cls):
     runs = {path: _monitor_run(strategy_cls, path) for path in PATHS}
     assert runs["vec"] == runs["kernels"]
     assert runs["kernels"] == runs["unfused"]
+
+
+#: Machines whose policies take the inline walks' other branches: the
+#: 12-way LRU L1 of icelake-small (which also keeps the monitor-round memo
+#: off, so every round runs live) and skylake-small with each non-LRU
+#: policy in its L2, LLC and SF.
+POLICY_MACHINES = {
+    "icelake-small": icelake_sp_small(),
+    **{
+        f"skylake-small-{policy}": replace(
+            skylake_sp_small(),
+            l2_policy=policy, llc_policy=policy, sf_policy=policy,
+        )
+        for policy in ("srrip", "qlru", "random")
+    },
+}
+
+
+@pytest.mark.parametrize("machine", list(POLICY_MACHINES))
+class TestPolicyAxisParity:
+    @pytest.mark.parametrize("mode", ["llc", "sf", "l2"])
+    def test_battery(self, machine, mode):
+        cfg = POLICY_MACHINES[machine]
+        runs = [_tester_battery(mode, True, fused, cfg, planes=True)
+                for fused in (True, False)]
+        assert runs[0] == runs[1]
+
+    def test_monitor(self, machine):
+        cfg = POLICY_MACHINES[machine]
+        runs = {path: _monitor_run(ParallelProbing, path, cfg, planes=True)
+                for path in PATHS}
+        assert runs["vec"] == runs["kernels"]
+        assert runs["kernels"] == runs["unfused"]
 
 
 def test_vec_replay_actually_engages(monkeypatch):

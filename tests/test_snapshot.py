@@ -8,8 +8,8 @@ snapshot/restore ops build on that promise.  These suites pin it:
   and vec tiers, quiet and noisy — verified with both the golden-pinned
   :func:`machine_digest` and the finer :func:`plane_digest`, and
   re-running the mutation after restore must reproduce it bit-for-bit;
-* the flush-epoch downgrade (``flush_all`` between checkpoint and
-  restore forces the full-plane rewrite path);
+* a ``flush_all`` between checkpoint and restore (it rebinds every plane
+  and floors every noise clock; the whole-plane restore must undo both);
 * a regression for stale ``_where`` index entries surviving a restore;
 * digest blindness to accelerator caches
   (:func:`repro.check.digest.assert_digest_memo_blind`).
@@ -111,8 +111,8 @@ class TestRoundTrip:
         assert _digests(machine) == moved
 
     def test_restore_across_flush_epoch(self):
-        """flush_all rebinds planes and floors every noise clock; an
-        epoch mismatch must downgrade to the full-plane rewrite."""
+        """flush_all rebinds planes and floors every noise clock; the
+        restore must put back the captured planes and clocks anyway."""
         machine, ctx = _machine_ctx("vec")
         ctx.calibrate()
         lines = ctx.lines([page + 0x240 for page in ctx.alloc_pages(8)])
