@@ -19,7 +19,10 @@ The parity suites pin a handful of hand-picked scenarios; this module
    digest, with the invariant checker (:mod:`repro.check.invariants`)
    validating state after every hierarchy call and every op.
 3. :func:`run_tiers` diffs the two optimized tiers against the
-   reference records with :func:`repro.check.digest.diff_keys`.
+   reference records with :func:`repro.check.digest.diff_keys`, and the
+   kernels tier's raw cache planes (:func:`repro.check.digest.
+   plane_digest`, replacement state included) against the batched
+   tier's: the two share the flat plane, the reference does not.
 
 :func:`fuzz_trial` is the picklable ``(config, seed)`` unit that
 :func:`fuzz_campaign` fans out through :mod:`repro.exec` (``--jobs``).
@@ -49,7 +52,7 @@ from ..exec import Campaign, arithmetic_seeds
 from ..memsys import kernels_disabled
 from ..memsys.machine import Machine
 from ..memsys.snapshot import checkpoint, checkpoint_key, restore
-from .digest import diff_keys, machine_digest, obj_digest
+from .digest import diff_keys, machine_digest, obj_digest, plane_digest
 from .invariants import InvariantChecker, InvariantViolation, invariant_hook
 
 #: The three execution tiers, in oracle order (index 0 is the reference).
@@ -506,6 +509,7 @@ def run_trace(
         "tier": tier,
         "records": records,
         "digest": machine_digest(machine),
+        "planes": plane_digest(machine),
         "violation": violation,
         "checks": checker.checks,
         # Keys of every checkpoint taken (artifacts persist these, so a
@@ -521,7 +525,13 @@ def run_trace(
 def run_tiers(
     trace: Dict[str, Any], check_invariants: bool = True
 ) -> Dict[str, Any]:
-    """Replay on all three tiers and diff everything against the reference."""
+    """Replay on all three tiers and diff everything against the reference.
+
+    The kernels tier must also leave the batched tier's raw planes
+    (``"planes"``): :func:`machine_digest` cannot see replacement state
+    such as PLRU bits and LRU stamps, and the reference oracle keeps none
+    in a comparable form.
+    """
     runs = {
         tier: run_trace(trace, tier, check_invariants=check_invariants)
         for tier in TIERS
@@ -533,6 +543,8 @@ def run_tiers(
         delta = diff_keys(
             oracle, {"records": runs[tier]["records"], "digest": runs[tier]["digest"]}
         )
+        if tier == "kernels" and runs[tier]["planes"] != runs["batched"]["planes"]:
+            delta.append("planes")
         if delta:
             diffs[tier] = delta[:8]
     violations = {

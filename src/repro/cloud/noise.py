@@ -55,7 +55,7 @@ class BackgroundNoise:
             return 1 if rng.random() < lam else 0
         return poisson(rng, lam)
 
-    def reconcile(self, hier, sidx: int, now: int) -> None:
+    def reconcile(self, hier, sidx: int, now: int, before_insert=None) -> None:
         """Apply pending noise to shared set ``sidx`` up to time ``now``.
 
         Insertion counts are capped at three times the set's associativity:
@@ -71,6 +71,10 @@ class BackgroundNoise:
         cycles, no event — is inlined: one ``exchange_noise_clock`` call and
         one uniform draw per structure (the ``_draw`` small-mean fast path,
         kept in sync with that method).
+
+        ``before_insert``, if given, is called once, just before the first
+        noise insertion: a caller holding plane writes it has not landed
+        yet (the folded monitor probes, DESIGN.md §2.7) writes them there.
         """
         rng = self._rng
         if self._sf_rate > 0.0:
@@ -83,6 +87,9 @@ class BackgroundNoise:
                 else:
                     n = poisson(rng, lam)
                 if n:
+                    if before_insert is not None:
+                        before_insert()
+                        before_insert = None
                     cap = 3 * sf.ways
                     if n > cap:
                         n = cap
@@ -99,6 +106,8 @@ class BackgroundNoise:
                 else:
                     n = poisson(rng, lam)
                 if n:
+                    if before_insert is not None:
+                        before_insert()
                     cap = 3 * llc.ways
                     if n > cap:
                         n = cap

@@ -141,18 +141,27 @@ class ParallelProbing(MonitorStrategy):
         predictor) serves the victim from the LLC thereafter — invisible to
         SF priming.  Since an SF eviction set is also an LLC eviction set
         (more ways), periodically flushing our lines and re-loading them
-        shared churns the LLC set and evicts any such stale copy.  This is
-        attacker-local work; the scrub is excluded from detection.
+        shared churns the LLC set and evicts any such stale copy; a
+        re-prime then takes the lines back private.  This is attacker-local
+        work: the scrub is excluded from detection and its re-prime from
+        the prime latencies.
         """
         ctx = self.ctx
         if kernels is not None:
             rows = self._rows
             kernels.flush_rows(rows, len(rows))
             kernels.load_sweep(rows, len(rows), shared=True)
+            kernels.prime_probe_kernel(
+                rows, len(rows), prime_rounds=self.prime_rounds
+            )
             return
         machine = ctx.machine
         machine.flush_batch(self._lines)
         machine.access_batch(ctx.main_core, self._lines, shadow_core=ctx.helper_core)
+        for _ in range(self.prime_rounds):
+            machine.access_batch(
+                ctx.main_core, self._lines, write=True, same_shared_set=True
+            )
 
     def prime(self) -> int:
         ctx = self.ctx
@@ -178,27 +187,17 @@ class ParallelProbing(MonitorStrategy):
         # is exactly when a stale LLC copy may be starving detections).
         # Its cost is not recorded in the prime/probe latency statistics.
         ctx = self.ctx
-        machine = ctx.machine
         kernels = ctx.kernels()
         self._probes_since_scrub += 1
         if self.llc_scrub_period and self._probes_since_scrub >= self.llc_scrub_period:
             self._probes_since_scrub = 0
             self._llc_scrub(kernels)
-            if kernels is not None:
-                kernels.prime_probe_kernel(
-                    self._rows, len(self._rows), prime_rounds=self.prime_rounds
-                )
-            else:
-                for _ in range(self.prime_rounds):
-                    machine.access_batch(
-                        ctx.main_core, self._lines, write=True, same_shared_set=True
-                    )
         if kernels is not None:
             measured = kernels.prime_probe_kernel(
                 self._rows, len(self._rows), probe=True
             )
         else:
-            measured = machine.probe_batch(
+            measured = ctx.machine.probe_batch(
                 ctx.main_core, self._lines, same_shared_set=True
             )
         self._record_probe(measured)
@@ -342,28 +341,44 @@ def monitor_set(
     missed keeps its SF entry, so its *next* access hits privately and the
     channel silently dies — every practical Prime+Probe loop re-primes
     periodically to bound that staleness.
+
+    A :class:`ParallelProbing` window on a machine whose monitor-round
+    memo is on runs inside the kernel bundle
+    (:meth:`~repro.memsys.vec.VecKernels.probe_window`), which folds quiet
+    probes (DESIGN.md §2.7); every other case — PS-Flush, PS-Alt,
+    defended caches, :func:`~repro.memsys.kernels_disabled`,
+    :func:`~repro.memsys.vec_disabled` — runs the per-round loop below,
+    which is the parity reference for that window.
     """
     ctx = monitor.ctx
     machine = ctx.machine
     start = machine.now
     end = start + duration_cycles
-    timestamps: List[int] = []
-    quiet = 0
     monitor.prime()
-    while machine.now < end:
-        if loop_overhead_cycles:
-            machine.advance(loop_overhead_cycles)
-        if monitor.probe():
-            quiet = 0
-            timestamps.append(machine.now)
-            monitor.prime()
-            if max_events is not None and len(timestamps) >= max_events:
-                break
-        else:
-            quiet += 1
-            if refresh_quiet_probes and quiet >= refresh_quiet_probes:
+    kernels = ctx.kernels()
+    if (type(monitor) is ParallelProbing and kernels is not None
+            and kernels.memo_on()):
+        timestamps = kernels.probe_window(
+            monitor, end, max_events, loop_overhead_cycles,
+            refresh_quiet_probes,
+        )
+    else:
+        timestamps = []
+        quiet = 0
+        while machine.now < end:
+            if loop_overhead_cycles:
+                machine.advance(loop_overhead_cycles)
+            if monitor.probe():
                 quiet = 0
+                timestamps.append(machine.now)
                 monitor.prime()
+                if max_events is not None and len(timestamps) >= max_events:
+                    break
+            else:
+                quiet += 1
+                if refresh_quiet_probes and quiet >= refresh_quiet_probes:
+                    quiet = 0
+                    monitor.prime()
     return AccessTrace(
         timestamps=timestamps,
         start=start,

@@ -16,7 +16,11 @@ This module fuses those loops:
   ``flush_rows``, ``load_sweep`` / ``store_sweep`` and
   ``traverse_kernel`` (TestEviction's flush + traversal; the tester
   primes and reloads the target through the Machine on both paths), and
-  ``prime_probe_kernel`` (the monitors' prime/probe rounds).  These
+  ``prime_probe_kernel`` (one monitor prime or probe: the Parallel
+  Probing primes and scrubs, every probe of a window run without the
+  monitor-round memo, and the per-round strategy calls; a memo-on
+  ``monitor_set`` window folds its quiet probes in
+  :meth:`repro.memsys.vec.VecKernels.probe_window` instead).  These
   sweeps are the only code that walks cache hits inline;
   ``CacheHierarchy.access_many``, the unfused path's batch entry point,
   is a plain per-line loop over ``access``.

@@ -2,7 +2,9 @@
 
 :class:`VecKernels` extends :class:`~repro.memsys.kernels.AttackKernels`
 with a round-level memoization of ``_monitor_round``, the Prime+Probe hot
-loop.  It is the kernel bundle of every machine
+loop, and with :meth:`VecKernels.probe_window`, which runs a whole
+Parallel Probing window (``core.monitor.monitor_set``) over that memo.  It
+is the kernel bundle of every machine
 (:meth:`repro.core.context.AttackerContext.kernels`).
 
 A monitor round starts the way the live round does, and runs those steps
@@ -33,16 +35,29 @@ is pending but not yet due cannot touch a hit walk (``advance()`` runs it
 after the walk on both paths).  So replay consumes every serial RNG
 stream exactly as the live round does.
 
+**Folding quiet probes.**  Inside :meth:`VecKernels.probe_window` a read
+round whose recorded post-state is itself a recorded pre-state links to
+that successor recording, so the next probe needs neither the slice key
+nor the planes: it is *folded*.  Its due-event check, reconcile,
+preemption draw and clock advance still run live, in order; its plane
+writes are owed, and a whole stretch of folded probes is written back
+once — the L1 sets take the last round's tags, owners and PLRU bits, the
+L2 stamps are rewritten relative to the stamp counter, and counters add
+each recording's delta times its fold count.  Owed writes land before
+anything can observe the slice: a due event, the first noise insertion
+of a reconcile, a live (recording) round, a prime, a scrub, the window's
+end, or an exception.
+
 With the memo switched off (:func:`vec_disabled`) a ``VecKernels`` runs
-exactly the inherited kernels; the parity suites use that as the live
-control.
+exactly the inherited kernels, and ``monitor_set`` its per-round loop;
+the parity suites use that as the live control.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from operator import itemgetter
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .kernels import AttackKernels
 from .policy_tables import TreePLRU8Table
@@ -72,14 +87,34 @@ def _tuple_getter(idx):
     return itemgetter(*idx)
 
 
+# A recording is a list.  Its first slots hold the recorded post-state of
+# the touched L1 sets (tag/owner/state segments, occupancies, the flat tag
+# tuple and touched flags), the L2/SF stamp writes relative to the stamp
+# counter, the counter deltas, the deterministic elapsed cycles, and (read
+# rounds only) the post-state as a slice key.  The last three slots are
+# fold scratch: the successor link, the fold count of the current stretch
+# and the L2 stamp offset of its last fold.
+(_TAGS, _OWNERS, _STATE, _OCC, _POST_T, _TOUCH, _L2W, _SFW, _DELTA, _BASE,
+ _POST, _NEXT, _N, _AT) = range(14)
+
+_at = itemgetter(_AT)
+
+
+def _drop_entries(entries: Dict[tuple, list]) -> None:
+    """Forget a shape's recordings together with the links between them."""
+    for rec in entries.values():
+        rec[_NEXT] = None
+    entries.clear()
+
+
 class _RoundGeometry:
     """Precomputed index planes + recordings for one (vas, count, write).
 
     ``entries`` maps a pre-state vector (the validated slice, as a tuple
-    of tuples) to the recorded post-state delta.  Steady-state monitoring
-    cycles through a tiny number of distinct pre-states per shape, so the
-    dict stays small; it is cleared wholesale if it ever grows past the
-    cap (state churn from an unusual workload).
+    of tuples) to the recorded round.  Steady-state monitoring cycles
+    through a tiny number of distinct pre-states per shape, so the dict
+    stays small; it is cleared wholesale if it ever grows past the cap
+    (state churn from an unusual workload).
     """
 
     __slots__ = (
@@ -132,7 +167,7 @@ class _RoundGeometry:
         else:
             self.sf_slots = []
             self.g_sf = None
-        self.entries: Dict[tuple, tuple] = {}
+        self.entries: Dict[tuple, list] = {}
 
 
 class VecKernels(AttackKernels):
@@ -160,6 +195,8 @@ class VecKernels(AttackKernels):
 
     def invalidate_memos(self) -> None:
         """Drop every recorded round (address-space change hook)."""
+        for geom in self._vmemo.values():
+            _drop_entries(geom.entries)
         self._vmemo.clear()
 
     def _vec_shapes_ok(self) -> bool:
@@ -175,15 +212,21 @@ class VecKernels(AttackKernels):
             and hier.sf._lru is not None
         )
 
-    def _monitor_round(self, rows, count: int, write: bool) -> int:
-        m = self.machine
+    def memo_on(self) -> bool:
+        """Whether monitor rounds are memo-replayed: the machine has the
+        shapes the replay understands and :func:`vec_disabled` is not in
+        force."""
         ok = self._vec_ok
         if ok is None:
             ok = self._vec_ok = self._vec_shapes_ok()
-        if not ok or not VEC_ENABLED or not count:
+        return ok and VEC_ENABLED
+
+    def _monitor_round(self, rows, count: int, write: bool) -> int:
+        if not count or not self.memo_on():
             return super()._monitor_round(rows, count, write)
         # The live round's first steps, live on both paths (the recorded
         # path's repeat of them inside the live round is a no-op).
+        m = self.machine
         events = m._events
         if events and events[0][0] <= m.now:
             m._drain_events()
@@ -191,6 +234,14 @@ class VecKernels(AttackKernels):
         noise = hier.noise_source
         if noise is not None:
             noise.reconcile(hier, rows.shared_sets[0], m.now)
+        geom, pre, rec = self._lookup(rows, count, write)
+        if rec is not None:
+            return self._replay(geom, rec)
+        return self._record(rows, count, write, geom, pre)
+
+    def _lookup(self, rows, count: int, write: bool):
+        """``(geometry, pre-state key, recording or None)`` of a round."""
+        hier = self.hierarchy
         core = self.main_core
         l1 = hier.l1[core]
         l2 = hier.l2[core]
@@ -200,7 +251,7 @@ class VecKernels(AttackKernels):
         geom = vmemo.get(key)
         if geom is None:
             if len(vmemo) >= self._VMEMO_CAP:
-                vmemo.clear()
+                self.invalidate_memos()
             geom = _RoundGeometry(rows, count, write, l1, l2, sf)
             vmemo[key] = geom
         g_sf = geom.g_sf
@@ -213,15 +264,16 @@ class VecKernels(AttackKernels):
             g_sf(sf._tags) if write else (),
             g_sf(sf._owners) if write else (),
         )
-        rec = geom.entries.get(pre)
-        if rec is not None:
-            return self._replay(m, hier, l1, l2, sf, count, geom, rec)
-        return self._record(m, rows, count, write, geom, pre, l1, l2, sf)
+        return geom, pre, geom.entries.get(pre)
 
-    def _record(self, m, rows, count: int, write: bool, geom, pre,
-                l1, l2, sf) -> int:
+    def _record(self, rows, count: int, write: bool, geom, pre) -> int:
         """Run the round live; capture its delta if it was a pure hit walk."""
+        m = self.machine
         hier = self.hierarchy
+        core = self.main_core
+        l1 = hier.l1[core]
+        l2 = hier.l2[core]
+        sf = hier.sf
         stats = hier.stats
         s0 = (
             stats.accesses, stats.l1_hits, stats.l2_hits, stats.llc_hits,
@@ -255,30 +307,6 @@ class VecKernels(AttackKernels):
             or stats.sf_back_invalidations != s0[8]
         ):
             return ret
-        pre_t = pre[0]
-        post_t = geom.g_l1(l1._tags)
-        wdel = []
-        wadd = []
-        n1 = l1.n_sets
-        slots = geom.l1_slots
-        psets = geom.l1_pos_sets
-        for i in range(len(slots)):
-            a = pre_t[i]
-            b = post_t[i]
-            if a != b:
-                if a is not None:
-                    wdel.append(a * n1 + psets[i])
-                if b is not None:
-                    wadd.append((b * n1 + psets[i], slots[i]))
-        tag_segs = tuple(l1._tags[a:b] for a, b in geom.l1_tag_ranges)
-        own_segs = tuple(l1._owners[a:b] for a, b in geom.l1_tag_ranges)
-        st_segs = tuple(l1._state[a:b] for a, b in geom.l1_state_ranges)
-        occ_post = tuple(l1._occ[s] for s in geom.l1_sets)
-        post_touch = geom.g_l1_touched(l1._touched)
-        marks = tuple(
-            s for s, a, b in zip(geom.l1_sets, pre[3], post_touch)
-            if not a and b
-        )
         l2_state_post = geom.g_l2(l2._state)
         l2_slots = geom.l2_slots
         l2w = [
@@ -320,69 +348,233 @@ class VecKernels(AttackKernels):
             l2.policy_touches - p0[3],
             sf.policy_touches - p0[4],
         )
+        post_t = geom.g_l1(l1._tags)
+        post_touch = geom.g_l1_touched(l1._touched)
+        post = None if write else (
+            post_t,
+            geom.g_l1(l1._owners),
+            geom.g_l1_state(l1._state),
+            post_touch,
+            geom.g_l2(l2._tags),
+            (),
+            (),
+        )
         entries = geom.entries
         if len(entries) >= self._ENTRY_CAP:
-            entries.clear()
-        entries[pre] = (
-            tag_segs, own_segs, st_segs, occ_post, tuple(wdel), tuple(wadd),
-            marks, tuple(l2w), tuple(sfw), d, elapsed_base,
-        )
+            _drop_entries(entries)
+        entries[pre] = [
+            tuple(l1._tags[a:b] for a, b in geom.l1_tag_ranges),
+            tuple(l1._owners[a:b] for a, b in geom.l1_tag_ranges),
+            tuple(l1._state[a:b] for a, b in geom.l1_state_ranges),
+            tuple(l1._occ[s] for s in geom.l1_sets),
+            post_t, post_touch, tuple(l2w), tuple(sfw), d, elapsed_base,
+            post, None, 0, 0,
+        ]
         return ret
 
-    def _replay(self, m, hier, l1, l2, sf, count: int, geom, rec) -> int:
+    def _replay(self, geom, rec) -> int:
         """Apply a recorded pure round: O(touched slots), no per-line work."""
-        m.batch_calls += 1
-        m.batch_lines += count
-        tags = l1._tags
-        owners = l1._owners
-        state = l1._state
-        ranges = geom.l1_tag_ranges
-        for (a, b), seg in zip(ranges, rec[0]):
-            tags[a:b] = seg
-        for (a, b), seg in zip(ranges, rec[1]):
-            owners[a:b] = seg
-        for (a, b), seg in zip(geom.l1_state_ranges, rec[2]):
-            state[a:b] = seg
-        occ = l1._occ
-        for s, v in zip(geom.l1_sets, rec[3]):
-            occ[s] = v
-        where = l1._where
-        for k in rec[4]:
-            del where[k]
-        for k, s in rec[5]:
-            where[k] = s
-        if rec[6]:
-            touched = l1._touched
-            for s in rec[6]:
-                touched[s] = 1
-            l1._touched_count += len(rec[6])
-        l2w = rec[7]
-        if l2w:
-            lru = l2._lru
-            base = lru._stamp
-            st = l2._state
-            for s, k in l2w:
-                st[s] = base + k
-            lru._stamp = base + len(l2w)
-        sfw = rec[8]
+        rec[_N] = 1
+        rec[_AT] = 0
+        self._land(geom, rec, (rec,))
+        sfw = rec[_SFW]
         if sfw:
+            sf = self.hierarchy.sf
             lru = sf._lru
             base = lru._stamp
             st = sf._state
             for s, k in sfw:
                 st[s] = base + k
             lru._stamp = base + len(sfw)
-        d = rec[9]
-        stats = hier.stats
-        stats.accesses += d[0]
-        stats.l1_hits += d[1]
-        stats.l2_hits += d[2]
-        l1.policy_touches += d[3]
-        l1.policy_fills += d[4]
-        l1.policy_victims += d[5]
-        l2.policy_touches += d[6]
-        sf.policy_touches += d[7]
-        elapsed = rec[10]
+        m = self.machine
+        elapsed = rec[_BASE]
         elapsed += m._preemption_penalty(elapsed)
         m.advance(elapsed)
         return elapsed
+
+    def _land(self, geom, last, folded) -> None:
+        """Write rounds whose pre-state the planes hold back to the planes.
+
+        The touched L1 sets take ``last``'s post-state, with the
+        ``_where`` index and touched marks diffed against the planes.
+        Each recording in ``folded`` adds its fold count times its
+        counter deltas and L2 stamp writes, and rewrites its L2 stamps at
+        the stamp offset of its last fold.  The fold counts are reset.
+        """
+        m = self.machine
+        hier = self.hierarchy
+        core = self.main_core
+        l1 = hier.l1[core]
+        l2 = hier.l2[core]
+        tags = l1._tags
+        cur = geom.g_l1(tags)
+        post = last[_POST_T]
+        if cur != post:
+            where = l1._where
+            n1 = l1.n_sets
+            psets = geom.l1_pos_sets
+            slots = geom.l1_slots
+            added = []
+            for i in range(len(post)):
+                a = cur[i]
+                b = post[i]
+                if a != b:
+                    if a is not None:
+                        del where[a * n1 + psets[i]]
+                    if b is not None:
+                        added.append(i)
+            for i in added:
+                where[post[i] * n1 + psets[i]] = slots[i]
+        ranges = geom.l1_tag_ranges
+        for (a, b), seg in zip(ranges, last[_TAGS]):
+            tags[a:b] = seg
+        owners = l1._owners
+        for (a, b), seg in zip(ranges, last[_OWNERS]):
+            owners[a:b] = seg
+        state = l1._state
+        for (a, b), seg in zip(geom.l1_state_ranges, last[_STATE]):
+            state[a:b] = seg
+        occ = l1._occ
+        touched = l1._touched
+        for s, v, t in zip(geom.l1_sets, last[_OCC], last[_TOUCH]):
+            occ[s] = v
+            if t and not touched[s]:
+                touched[s] = 1
+                l1._touched_count += 1
+        if len(folded) > 1:
+            folded = sorted(folded, key=_at)
+        lru = l2._lru
+        base = lru._stamp
+        st = l2._state
+        stats = hier.stats
+        rounds = lines = bumps = 0
+        for rec in folded:
+            at = base + rec[_AT]
+            l2w = rec[_L2W]
+            for s, k in l2w:
+                st[s] = at + k
+            n = rec[_N]
+            rec[_N] = 0
+            d = rec[_DELTA]
+            rounds += n
+            bumps += n * len(l2w)
+            lines += n * d[0]
+            stats.accesses += n * d[0]
+            stats.l1_hits += n * d[1]
+            stats.l2_hits += n * d[2]
+            l1.policy_touches += n * d[3]
+            l1.policy_fills += n * d[4]
+            l1.policy_victims += n * d[5]
+            l2.policy_touches += n * d[6]
+            hier.sf.policy_touches += n * d[7]
+        lru._stamp = base + bumps
+        m.batch_calls += rounds
+        m.batch_lines += lines
+
+    # -- Parallel Probing window ---------------------------------------------
+
+    def probe_window(self, monitor, end: int, max_events: Optional[int],
+                     loop_overhead_cycles: int,
+                     refresh_quiet_probes: int) -> List[int]:
+        """``core.monitor.monitor_set``'s loop for a primed Parallel
+        Probing ``monitor``, with quiet probes folded; returns the
+        detection timestamps.
+
+        Bit for bit the per-round loop: the same loop-overhead advance,
+        scrub cadence (``monitor._probes_since_scrub`` carries over
+        between windows), probe round, detection timestamp and re-prime,
+        quiet refresh and ``max_events`` cut-off.  Primes and scrubs run
+        through ``monitor.prime`` / ``monitor._llc_scrub`` and probe
+        latencies go to ``monitor.probe_latencies``.  Only the memo-on
+        path calls this (:meth:`memo_on`).
+        """
+        m = self.machine
+        hier = self.hierarchy
+        noise = hier.noise_source
+        events = m._events
+        rows = monitor._rows
+        count = len(rows)
+        sidx = rows.shared_sets[0]
+        prime = monitor.prime
+        probed = monitor.probe_latencies.append
+        threshold = monitor._detect_threshold
+        scrub_period = monitor.llc_scrub_period
+        timer = m.cfg.latency.timer_overhead
+        since = monitor._probes_since_scrub
+        timestamps: List[int] = []
+        quiet = 0
+        geom = None
+        # The recording whose post-state the slice holds (owed, while the
+        # stretch is non-empty), the distinct recordings folded since the
+        # last write-back, and how many L2 stamps the stretch has written.
+        cursor = None
+        stretch: list = []
+        bumps = 0
+
+        def land() -> None:
+            nonlocal cursor, bumps
+            if stretch:
+                self._land(geom, cursor, stretch)
+                stretch.clear()
+                bumps = 0
+            cursor = None
+
+        try:
+            while m.now < end:
+                if loop_overhead_cycles:
+                    if events and events[0][0] <= m.now + loop_overhead_cycles:
+                        land()
+                    m.advance(loop_overhead_cycles)
+                since += 1
+                if scrub_period and since >= scrub_period:
+                    since = 0
+                    land()
+                    monitor._llc_scrub(self)
+                # The probe round (``_monitor_round``, read sweep).
+                if events and events[0][0] <= m.now:
+                    land()
+                    m._drain_events()
+                if noise is not None:
+                    noise.reconcile(hier, sidx, m.now, land)
+                rec = None
+                if cursor is not None:
+                    rec = cursor[_NEXT]
+                    if rec is None:
+                        rec = cursor[_NEXT] = geom.entries.get(cursor[_POST])
+                if rec is None:
+                    land()
+                    geom, pre, rec = self._lookup(rows, count, False)
+                if rec is None:
+                    elapsed = self._record(rows, count, False, geom, pre)
+                else:
+                    n = rec[_N]
+                    if not n:
+                        stretch.append(rec)
+                    rec[_N] = n + 1
+                    rec[_AT] = bumps
+                    bumps += len(rec[_L2W])
+                    cursor = rec
+                    elapsed = rec[_BASE]
+                    elapsed += m._preemption_penalty(elapsed)
+                    if events and events[0][0] <= m.now + elapsed:
+                        land()
+                    m.advance(elapsed)
+                measured = elapsed + timer
+                probed(measured)
+                if measured > threshold:
+                    quiet = 0
+                    timestamps.append(m.now)
+                    land()
+                    prime()
+                    if max_events is not None and len(timestamps) >= max_events:
+                        break
+                else:
+                    quiet += 1
+                    if refresh_quiet_probes and quiet >= refresh_quiet_probes:
+                        quiet = 0
+                        land()
+                        prime()
+        finally:
+            land()
+            monitor._probes_since_scrub = since
+        return timestamps

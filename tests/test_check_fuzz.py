@@ -121,6 +121,43 @@ class TestRunTrace:
             run_trace(generate_trace(QUIET, 2), "warp")
 
 
+class TestPlaneVerdict:
+    """The flat-plane tiers (batched, kernels) must also agree on the raw
+    cache planes, which ``machine_digest`` cannot see."""
+
+    TRACE = {
+        "machine": "skylake-small", "noise": "none", "seed": 5,
+        "ctx_seed": 6, "partition": None, "defense": None,
+        "ops": [["calibrate"], ["pool", 0x2C0, 12], ["monitor", 0, 8, 30_000]],
+    }
+
+    def test_clean_trace_agrees(self):
+        assert run_tiers(self.TRACE)["ok"]
+
+    def test_stamp_drift_flags_kernels_tier(self, monkeypatch):
+        """A one-off L2 stamp after a ``monitor`` op on the kernels tier
+        only: every record and ``machine_digest`` still agree."""
+        import repro.check.fuzz as fuzz
+
+        live = fuzz.monitor_set
+
+        def drifting(monitor, duration):
+            trace = live(monitor, duration)
+            ctx = monitor.ctx
+            if ctx.kernels() is not None:
+                l2 = ctx.machine.hierarchy.l2[ctx.main_core]
+                base = monitor._rows.l2_sets[0] * l2.ways
+                stamps = l2._state[base:base + l2.ways]
+                l2._state[base + stamps.index(min(stamps))] = l2._lru._stamp
+            return trace
+
+        monkeypatch.setattr(fuzz, "monitor_set", drifting)
+        result = run_tiers(self.TRACE)
+        assert result["divergent"] == ["kernels"]
+        assert result["diffs"]["kernels"] == ["planes"]
+        assert not result["violations"]
+
+
 @pytest.mark.slow
 class TestFuzzSmoke:
     """The CI smoke: fixed seeds, all three tiers must agree exactly."""

@@ -27,6 +27,7 @@ budgets) so CI runs it on every push.
 from __future__ import annotations
 
 import contextlib
+import sys
 from dataclasses import replace
 
 import pytest
@@ -93,8 +94,8 @@ def _tester_battery(mode: str, noisy: bool, fused: bool,
 @pytest.mark.parametrize("mode", ["llc", "sf", "l2"])
 class TestEvictionKernelParity:
     def test_battery_bitwise_identical(self, mode, noisy):
-        fused = _tester_battery(mode, noisy, fused=True)
-        unfused = _tester_battery(mode, noisy, fused=False)
+        fused = _tester_battery(mode, noisy, fused=True, planes=True)
+        unfused = _tester_battery(mode, noisy, fused=False, planes=True)
         assert fused == unfused
 
 
@@ -157,8 +158,10 @@ def _monitor_run(strategy_cls, path: str, cfg=skylake_sp_small(),
     ids=["parallel", "prime-scope"],
 )
 def test_monitor_parity(strategy_cls):
-    """Unfused, live-kernel and memo-replayed rounds agree bit for bit."""
-    runs = {path: _monitor_run(strategy_cls, path) for path in PATHS}
+    """Unfused, live-kernel and memo-replayed rounds agree bit for bit,
+    replacement state (PLRU bits, LRU stamps) included."""
+    runs = {path: _monitor_run(strategy_cls, path, planes=True)
+            for path in PATHS}
     assert runs["vec"] == runs["kernels"]
     assert runs["kernels"] == runs["unfused"]
 
@@ -196,28 +199,65 @@ class TestPolicyAxisParity:
         assert runs["kernels"] == runs["unfused"]
 
 
-def test_vec_replay_actually_engages(monkeypatch):
-    """The memo-replay path must fire on the steady-state monitor loop,
-    with a victim event pending the whole window (otherwise the vec tier
-    silently degenerates to live kernels and the parity suites prove
-    nothing about replay)."""
-    replays = []
-    replay = VecKernels._replay
+@contextlib.contextmanager
+def _fold_log():
+    """Log every plane write of the memo-replay path, in order.
 
-    def counted(self, *args):
-        replays.append(1)
-        return replay(self, *args)
+    ``VecKernels._land`` writes one round replayed by ``_replay`` (logged
+    ``"apply"``) or a whole stretch of folded probes (logged ``"fold"``,
+    or ``"noise"`` when the first noise insertion of a reconcile forced
+    it); ``"replay-read"`` logs a read round that went through
+    ``_replay`` instead of being folded by the window.  The yielded dict
+    also sums the rounds written by fold write-backs.  Tests append
+    their own markers to ``log["events"]``."""
+    from repro.memsys import vec
 
-    monkeypatch.setattr(VecKernels, "_replay", counted)
+    log = {"events": [], "folded": 0}
+    land, replay = VecKernels._land, VecKernels._replay
+
+    def logged_land(self, geom, last, folded):
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "land":
+            kind = ("noise" if sys._getframe(2).f_code.co_name == "reconcile"
+                    else "fold")
+            log["folded"] += sum(rec[vec._N] for rec in folded)
+        else:
+            kind = "apply"
+        log["events"].append(kind)
+        return land(self, geom, last, folded)
+
+    def logged_replay(self, geom, rec):
+        if rec[vec._POST] is not None:
+            log["events"].append("replay-read")
+        return replay(self, geom, rec)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(VecKernels, "_land", logged_land)
+        patch.setattr(VecKernels, "_replay", logged_replay)
+        yield log
+
+
+def test_vec_replay_actually_engages():
+    """Quiet probes must fold on the steady-state monitor loop, with a
+    victim event pending the whole window: most probes are written back
+    in stretches, not one by one, and no read round is replayed outside
+    the window (otherwise the vec tier silently degenerates to per-round
+    replay and the parity suites prove nothing about folding)."""
     machine = Machine(skylake_sp_small(), noise=cloud_run_noise(), seed=31)
     ctx = AttackerContext(machine, seed=3)
     ctx.calibrate()
     evset, tset = _congruent_evset(ctx, "sf", machine.cfg.sf.ways)
     interval = 20_000
     _schedule_victim(machine, _victim_line(machine, tset), 12, interval)
-    monitor_set(ParallelProbing(ctx, evset), duration_cycles=10 * interval)
+    monitor = ParallelProbing(ctx, evset)
+    with _fold_log() as log:
+        monitor_set(monitor, duration_cycles=10 * interval)
     assert machine.pending_events(), "the victim must outlive the window"
-    assert replays
+    probes = len(monitor.probe_latencies)
+    write_backs = log["events"].count("fold") + log["events"].count("noise")
+    assert "replay-read" not in log["events"]
+    assert log["folded"] > 0.9 * probes, (log["folded"], probes)
+    assert 0 < write_backs < log["folded"] / 10, (write_backs, log["folded"])
 
 
 def _due_victim_run(path: str) -> dict:
@@ -240,7 +280,8 @@ def _due_victim_run(path: str) -> dict:
                     lambda t: machine.hierarchy.access(3, line, t, write=True),
                 )
             seen.append(strategy.probe())
-    return {"seen": seen, **_machine_digest(machine)}
+    return {"seen": seen, **_machine_digest(machine),
+            "planes": plane_digest(machine)}
 
 
 def test_due_event_runs_before_replayed_round():
@@ -248,6 +289,111 @@ def test_due_event_runs_before_replayed_round():
     assert runs["vec"] == runs["kernels"]
     assert runs["kernels"] == runs["unfused"]
     assert any(runs["vec"]["seen"]), "the due victim stores must be seen"
+
+
+class _VictimFault(Exception):
+    """Raised by a victim event in the write-back trigger parity case."""
+
+
+#: The folded window's write-back triggers, one parity case each:
+#: ``monitor_set`` keyword arguments, the window count, and whether the
+#: victim events raise.  Each case is replayed on every path.  With the
+#: default ``lines`` (the SF ways) every probe round ends in the same L1
+#: state, so a prime that ran on owed planes could not show; 9 or 11
+#: lines monitor sets whose rounds do not, where it would.
+TRIGGER_CASES = {
+    # Noise scaled so insertions land inside folded stretches.
+    "noise": dict(scale=20.0),
+    # Victim stores that come due mid-stretch, each observing the planes.
+    "victim": dict(victims=8),
+    "cadence": dict(victims=3, kwargs=dict(refresh_quiet_probes=5),
+                    scrub_period=7, lines=9),
+    "max-events": dict(victims=8, kwargs=dict(max_events=3)),
+    # Short, frequent preemptions push folded all-hit probes over the
+    # detection threshold.
+    "preemption": dict(preempt=(1e6, 2_000), lines=11),
+    # The scrub cadence carries over from the first window to the second.
+    "two-windows": dict(victims=4, windows=2, scrub_period=50),
+    # A raising event aborts each of two windows mid-stretch.
+    "raise": dict(victims=8, raises=True, windows=2),
+}
+
+
+def _trigger_run(case: str, path: str):
+    spec = TRIGGER_CASES[case]
+    noise = cloud_run_noise().scaled(spec.get("scale", 1.0))
+    if "preempt" in spec:
+        rate_hz, cycles = spec["preempt"]
+        noise = replace(noise, preemption_rate_hz=rate_hz,
+                        preemption_cycles=cycles)
+    machine = Machine(skylake_sp_small(), noise=noise, seed=31)
+    ctx = AttackerContext(machine, seed=3)
+    ctx.calibrate()
+    evset, tset = _congruent_evset(ctx, "sf",
+                                   spec.get("lines", machine.cfg.sf.ways))
+    line = _victim_line(machine, tset)
+    monitor = ParallelProbing(ctx, evset,
+                              llc_scrub_period=spec.get("scrub_period", 128))
+    out = {"windows": [], "seen": [], "faults": 0}
+    with _fold_log() as log:
+
+        def victim(t):
+            # The event sees the planes exactly as the per-round loop
+            # leaves them: a folded stretch must have landed first.
+            log["events"].append("event")
+            out["seen"].append(plane_digest(machine))
+            machine.hierarchy.access(3, line, t, write=True)
+            if spec.get("raises"):
+                raise _VictimFault(t)
+
+        for i in range(spec.get("victims", 0)):
+            machine.schedule(machine.now + 9_000 + i * 23_117, victim)
+        with _path_guard(path):
+            for _ in range(spec.get("windows", 1)):
+                try:
+                    trace = monitor_set(monitor, 110_000,
+                                        **spec.get("kwargs", {}))
+                except _VictimFault:
+                    out["faults"] += 1
+                    continue
+                out["windows"].append([
+                    trace.timestamps, trace.start, trace.end,
+                    monitor._probes_since_scrub,
+                ])
+    out.update(
+        probes=list(monitor.probe_latencies),
+        primes=list(monitor.prime_latencies),
+        since=monitor._probes_since_scrub,
+        planes=plane_digest(machine),
+        **_machine_digest(machine),
+    )
+    return out, log
+
+
+@pytest.mark.parametrize("case", list(TRIGGER_CASES))
+def test_fold_write_back_triggers(case):
+    """Every write-back trigger of the folded window leaves the trace,
+    ``machine_digest`` and ``plane_digest`` of the per-round loop."""
+    runs, logs = {}, {}
+    for path in PATHS:
+        runs[path], logs[path] = _trigger_run(case, path)
+    assert runs["vec"] == runs["kernels"]
+    assert runs["kernels"] == runs["unfused"]
+    events = logs["vec"]["events"]
+    assert logs["vec"]["folded"], "the case must fold probes"
+    if case == "noise":
+        assert "noise" in events, "an insertion must land mid-stretch"
+    if TRIGGER_CASES[case].get("victims"):
+        pairs = list(zip(events, events[1:]))
+        assert ("fold", "event") in pairs, "an event must come due mid-stretch"
+    if case == "preemption":
+        assert runs["vec"]["windows"][0][0], "a preempted probe must detect"
+    if case == "max-events":
+        assert [len(w[0]) for w in runs["vec"]["windows"]] == [3]
+    if case == "raise":
+        assert runs["vec"]["faults"] == 2
+    if case == "two-windows":
+        assert runs["vec"]["windows"][0][3], "the cadence must carry over"
 
 
 # --- Construction parity ----------------------------------------------------
