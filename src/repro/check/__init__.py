@@ -11,8 +11,9 @@ trials; this package *enforces* the promise instead of sampling it:
 * :mod:`repro.check.fuzz` — seeded attack-shaped traces replayed on all
   three tiers and diffed (``python -m repro fuzz``).
 * :mod:`repro.check.shrink` — ddmin reduction of diverging traces.
-* :mod:`repro.check.selftest` — a deliberate replacement-policy mutation
-  proving the harness catches seeded faults.
+* :mod:`repro.check.selftest` — deliberate mutations (a replacement-policy
+  bug in the data plane, one in the kernels' cascade description) proving
+  the harness catches seeded faults.
 """
 
 from .digest import (
@@ -43,7 +44,12 @@ from .invariants import (
     invariant_hook,
     uninstall_invariant_hook,
 )
-from .selftest import replacement_policy_mutation, run_selftest
+from .selftest import (
+    MUTATIONS,
+    kernel_description_mutation,
+    replacement_policy_mutation,
+    run_selftest,
+)
 from .shrink import shrink_trace
 
 __all__ = [
@@ -51,6 +57,7 @@ __all__ = [
     "FuzzConfig",
     "InvariantChecker",
     "InvariantViolation",
+    "MUTATIONS",
     "TIERS",
     "assert_digest_memo_blind",
     "diff_keys",
@@ -59,6 +66,7 @@ __all__ = [
     "generate_trace",
     "install_invariant_hook",
     "invariant_hook",
+    "kernel_description_mutation",
     "load_artifact",
     "machine_digest",
     "obj_digest",

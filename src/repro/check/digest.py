@@ -55,8 +55,12 @@ def plane_digest(machine) -> str:
     owner planes, the flat policy-state plane, per-set occupancy, per-set
     noise clocks, and — crucially — the ``_where`` tag index, so an index
     left stale by a checkpoint restore diverges here even when the planes
-    themselves agree.  The reference oracle contributes its per-set tags,
-    owners, and noise clocks.
+    themselves agree.  Each flat cache also contributes what the fused
+    kernels accumulate in locals and fold once per call: its touched-set
+    bytemap and count, its policy-operation counters, and an LRU table's
+    stamp counters.  The reference oracle contributes its per-set tags,
+    owners, noise clocks and policy-operation counters; the machine, its
+    batch counters and the hierarchy's next noise tag.
 
     Unlike :func:`machine_digest`, this shape is *not* golden-pinned; it
     serves the snapshot round-trip suites and
@@ -79,6 +83,12 @@ def plane_digest(machine) -> str:
                 list(cache._occ),
                 list(cache._noise_t),
                 sorted(cache._where.items()),
+                list(cache._touched),
+                cache._touched_count,
+                [cache.policy_touches, cache.policy_fills,
+                 cache.policy_victims],
+                None if cache._lru is None
+                else [cache._lru._stamp, cache._lru._inv_stamp],
             ])
         elif isinstance(cache, ReferenceSetAssociativeCache):
             planes.append([
@@ -92,12 +102,16 @@ def plane_digest(machine) -> str:
                     ]
                     for s, cset in sorted(cache._sets.items())
                 ],
+                [cache.policy_touches, cache.policy_fills,
+                 cache.policy_victims],
             ])
     # Composite wrappers (randomized indexes, partitions) may carry
     # state beyond their inner planes — residency maps, rekey epochs,
     # auto-rekey counters — published via ``snapshot_extra()``; fold it
     # in so a restore that left a wrapper map stale diverges here.
     hier = machine.hierarchy
+    planes.append(["machine", machine.batch_calls, machine.batch_lines,
+                   hier._noise_tag_next])
     for label, cache in (("llc", hier.llc), ("sf", hier.sf)):
         extra = getattr(cache, "snapshot_extra", None)
         if callable(extra):

@@ -254,6 +254,7 @@ def cmd_fuzz(args) -> int:
     """Differential fuzz across the three execution tiers (repro.check)."""
     from .check import (
         DEFAULT_ARTIFACT_DIR,
+        MUTATIONS,
         FuzzConfig,
         fuzz_campaign,
         generate_trace,
@@ -290,27 +291,32 @@ def cmd_fuzz(args) -> int:
         defense=args.defense,
     )
     if args.self_test:
-        summary = run_selftest(
-            dataclasses.replace(cfg, noise="none", partition="never"),
-            artifact_dir=artifact_dir,
-        )
-        if not summary["caught"]:
-            print(
-                f"SELF-TEST FAILED: injected replacement-policy mutation "
-                f"not detected in {summary['seeds_tried']} seeds"
+        status = 0
+        for mutation in MUTATIONS:
+            summary = run_selftest(
+                dataclasses.replace(cfg, noise="none", partition="never"),
+                artifact_dir=artifact_dir,
+                mutation=mutation,
             )
-            return 1
-        print(
-            f"self-test: injected LRU->MRU mutation caught at seed "
-            f"{summary['seed']} (tiers {', '.join(summary['divergent'])}); "
-            f"trace shrunk {summary['ops_before']} -> "
-            f"{summary['ops_after']} ops; clean after unpatch: "
-            f"{summary['clean_after_unpatch']}"
-        )
-        print(f"artifact: {summary['artifact']}")
-        return 0 if summary["shrunk_still_fails"] and summary[
-            "clean_after_unpatch"
-        ] else 1
+            if not summary["caught"]:
+                print(
+                    f"SELF-TEST FAILED: injected {mutation} mutation "
+                    f"not detected in {summary['seeds_tried']} seeds"
+                )
+                status = 1
+                continue
+            print(
+                f"self-test: injected {mutation} mutation caught at seed "
+                f"{summary['seed']} (tiers {', '.join(summary['divergent'])}); "
+                f"trace shrunk {summary['ops_before']} -> "
+                f"{summary['ops_after']} ops; clean after unpatch: "
+                f"{summary['clean_after_unpatch']}"
+            )
+            print(f"artifact: {summary['artifact']}")
+            if not (summary["shrunk_still_fails"]
+                    and summary["clean_after_unpatch"]):
+                status = 1
+        return status
 
     campaign = fuzz_campaign(cfg, args.seeds, base_seed=args.seed)
     policy = ExecPolicy(jobs=_resolve_jobs(args), timeout_s=args.timeout_s)
@@ -546,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="where to write shrunk diverging-trace artifacts "
                    "(default .repro/fuzz)")
     p.add_argument("--self-test", action="store_true",
-                   help="inject a replacement-policy mutation and prove "
-                   "the harness catches it")
+                   help="inject each self-test mutation (data plane, "
+                   "kernel description) and prove the harness catches it")
     p.add_argument("--replay", default=None, metavar="ARTIFACT",
                    help="re-run a saved trace artifact across all tiers")
     p.add_argument("--progress", action="store_true",

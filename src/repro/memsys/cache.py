@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from .policy_tables import LRUTable, SRRIPTable, make_policy_table
+from .policy_tables import LRUTable, make_policy_table
 
 
 class SetAssociativeCache:
@@ -61,7 +61,6 @@ class SetAssociativeCache:
         "_pt_victim",
         "_pt_invalidate",
         "_lru",
-        "_rrip",
         "_tags",
         "_owners",
         "_occ",
@@ -97,11 +96,9 @@ class SetAssociativeCache:
         self._pt_fill = pol.fill
         self._pt_victim = pol.victim
         self._pt_invalidate = pol.invalidate
-        # Touch fast paths: for the stride == ways policies whose touch is a
-        # single O(1) store, the state index equals the flat slot and the
-        # table call is inlined at the two hit sites (lookup / insert-hit).
+        # LRU fast path: the state index equals the flat slot, so the
+        # stamp write is inlined at the hit, fill and invalidate sites.
         self._lru = pol if type(pol) is LRUTable else None
-        self._rrip = isinstance(pol, SRRIPTable)  # covers QLRU (subclass)
         n = n_sets * ways
         self._tags: List[Optional[int]] = [None] * n
         self._owners: List[int] = [0] * n
@@ -159,8 +156,6 @@ class SetAssociativeCache:
         if lru is not None:  # inline LRUTable.touch (stamp counter shared)
             lru._stamp = stamp = lru._stamp + 1
             self._state[slot] = stamp
-        elif self._rrip:  # inline SRRIPTable/QLRUTable.touch
-            self._state[slot] = 0
         else:
             self._pt_touch(
                 self._state, set_idx * self._pstride, slot - set_idx * self.ways
@@ -223,11 +218,9 @@ class SetAssociativeCache:
             if update_owner:
                 self._owners[slot] = owner
             lru = self._lru
-            if lru is not None:  # inline touch fast paths (see lookup)
+            if lru is not None:  # inline touch fast path (see lookup)
                 lru._stamp = stamp = lru._stamp + 1
                 self._state[slot] = stamp
-            elif self._rrip:
-                self._state[slot] = 0
             else:
                 self._pt_touch(
                     self._state, set_idx * self._pstride, slot - set_idx * ways

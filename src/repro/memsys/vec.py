@@ -21,8 +21,14 @@ enumerable state slice:
 * the SF tags/owners of the congruent set (write rounds only; probe
   rounds never consult the SF).
 
-A round is recorded once — run live, with the state delta captured only if
-the stats deltas prove it was a pure hit walk — and replayed thereafter:
+The memo engages on machines whose policy tuple
+(:meth:`~repro.memsys.kernels.AttackKernels.policy_forms`) starts with a
+Tree-PLRU-8 L1 and LRU L2 and SF — the forms whose state this slice
+captures.
+
+A round is recorded once — run live through the generated round kernel,
+with the state delta captured only if the stats deltas prove it was a
+pure hit walk — and replayed thereafter:
 validate the slice, apply the recorded delta, advance the clock.  LRU
 stamps are replayed *relative* to the current global stamp counter
 (``state[slot] = stamp_now + k``), never as absolute values, because
@@ -48,9 +54,10 @@ anything can observe the slice: a due event, the first noise insertion
 of a reconcile, a live (recording) round, a prime, a scrub, the window's
 end, or an exception.
 
-With the memo switched off (:func:`vec_disabled`) a ``VecKernels`` runs
-exactly the inherited kernels, and ``monitor_set`` its per-round loop;
-the parity suites use that as the live control.
+With the memo switched off (:func:`vec_disabled`), or on any other
+policy tuple, a ``VecKernels`` runs exactly the inherited generated
+kernels, and ``monitor_set`` its per-round loop; the parity suites use
+that as the live control.
 """
 
 from __future__ import annotations
@@ -60,7 +67,6 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .kernels import AttackKernels
-from .policy_tables import TreePLRU8Table
 
 #: Kill switch for the memo-replay path (the parity suites use it to run
 #: the same VecKernels object live, proving replay == live bit for bit).
@@ -77,6 +83,11 @@ def vec_disabled():
         yield
     finally:
         VEC_ENABLED = saved
+
+
+#: The policy forms of the main core's L1 and L2 and of the SF that the
+#: replay understands: the default microarchitecture's.
+_MEMO_FORMS = ("tree8", "lru", "lru")
 
 
 def _tuple_getter(idx):
@@ -173,10 +184,10 @@ class _RoundGeometry:
 class VecKernels(AttackKernels):
     """Fused kernels with memo-replay of monitor rounds.
 
-    Engages only when the touched structures have the shapes the replay
-    understands (tree-PLRU8 L1, LRU L2/SF — the default
-    microarchitecture); anything else falls back to the inherited live
-    kernels, bit for bit.
+    Engages only when the touched structures have the policy forms the
+    replay understands (Tree-PLRU-8 L1, LRU L2 and SF — the default
+    microarchitecture); anything else runs the generated live kernels,
+    bit for bit.
     """
 
     #: Bound on distinct (vas, count, write) round shapes kept.
@@ -199,26 +210,14 @@ class VecKernels(AttackKernels):
             _drop_entries(geom.entries)
         self._vmemo.clear()
 
-    def _vec_shapes_ok(self) -> bool:
-        if not self.engaged():
-            return False
-        hier = self.hierarchy
-        l1 = hier.l1[self.main_core]
-        l2 = hier.l2[self.main_core]
-        return (
-            type(l1._pol) is TreePLRU8Table
-            and l1.ways == 8
-            and l2._lru is not None
-            and hier.sf._lru is not None
-        )
-
     def memo_on(self) -> bool:
-        """Whether monitor rounds are memo-replayed: the machine has the
-        shapes the replay understands and :func:`vec_disabled` is not in
-        force."""
+        """Whether monitor rounds are memo-replayed: the kernels engage,
+        the policy tuple (:meth:`policy_forms`) has the forms the replay
+        understands, and :func:`vec_disabled` is not in force."""
         ok = self._vec_ok
         if ok is None:
-            ok = self._vec_ok = self._vec_shapes_ok()
+            ok = self._vec_ok = (
+                self.engaged() and self.policy_forms()[:3] == _MEMO_FORMS)
         return ok and VEC_ENABLED
 
     def _monitor_round(self, rows, count: int, write: bool) -> int:

@@ -12,6 +12,7 @@ from repro.check import (
     fuzz_campaign,
     fuzz_trial,
     generate_trace,
+    kernel_description_mutation,
     load_artifact,
     replay_artifact,
     replacement_policy_mutation,
@@ -280,4 +281,21 @@ class TestMutationSelfTest:
         # The artifact replays clean on pristine code and diverges mutated.
         assert run_tiers(trace)["ok"]
         with replacement_policy_mutation():
+            assert not run_tiers(trace)["ok"]
+
+    def test_kernel_description_mutation_flags_kernels_tier(self, tmp_path):
+        """A slip in the cascade description reaches only the generated
+        kernels: the fuzzer flags the kernels tier alone, shrinks the
+        trace, and the shrunk trace runs clean without the slip."""
+        summary = run_selftest(max_seeds=25, artifact_dir=tmp_path,
+                               mutation="kernel-lru-touch")
+        assert summary["caught"]
+        assert summary["divergent"] == ["kernels"]
+        assert summary["shrunk_still_fails"]
+        assert summary["clean_after_unpatch"]
+        assert summary["ops_after"] <= summary["ops_before"]
+        trace, result = load_artifact(summary["artifact"])
+        assert result["mutation"] == "kernel-lru-touch"
+        assert run_tiers(trace)["ok"]
+        with kernel_description_mutation():
             assert not run_tiers(trace)["ok"]

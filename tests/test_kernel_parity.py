@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import sys
+import traceback
 from dataclasses import replace
 
 import pytest
@@ -119,6 +120,19 @@ def test_kernels_disabled_context_forces_unfused():
     # duck-typed reference caches.
     assert type(tester.ctx.kernels()) is VecKernels
     assert _resolved(skylake_sp_small(), reference=True).ctx.kernels() is None
+
+
+def test_generated_kernel_traceback_shows_source():
+    """Generated kernels register their source with linecache, so a
+    traceback through one names the kernel and shows the failing line."""
+    tester = _resolved(skylake_sp_small())
+    ctx = tester.ctx
+    rows = ctx.rows(ctx.alloc_pages(3))
+    with pytest.raises(IndexError) as info:
+        ctx.kernels().flush_rows(rows, len(rows) + 1)
+    frame = traceback.extract_tb(info.value.__traceback__)[-1]
+    assert frame.filename.startswith("<repro.memsys.kernels flush ")
+    assert frame.line == "line = lines[j]"
 
 
 def test_reference_cache_disengages_kernels():
@@ -399,7 +413,9 @@ def test_fold_write_back_triggers(case):
 # --- Construction parity ----------------------------------------------------
 
 
-def _l2_construction(fused: bool) -> dict:
+def _l2_construction(fused: bool, planes: bool = False) -> dict:
+    """One L2 eviction-set construction; ``planes`` adds the raw cache
+    planes, which the golden below does not pin."""
     machine = Machine(skylake_sp_small(), noise=cloud_run_noise(), seed=47)
     ctx = AttackerContext(machine, seed=5)
     ctx.calibrate()
@@ -412,11 +428,15 @@ def _l2_construction(fused: bool) -> dict:
         with guard:
             evset = build_l2_eviction_set(ctx, target_va,
                                           EvsetConfig(budget_ms=50.0))
-    return {"vas": sorted(evset.vas), **_machine_digest(machine)}
+    out = {"vas": sorted(evset.vas), **_machine_digest(machine)}
+    if planes:
+        out["planes"] = plane_digest(machine)
+    return out
 
 
 def test_l2_construction_parity():
-    assert _l2_construction(True) == _l2_construction(False)
+    assert (_l2_construction(True, planes=True)
+            == _l2_construction(False, planes=True))
 
 
 # --- Golden fingerprints (captured from the unfused path) -------------------
