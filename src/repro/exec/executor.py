@@ -12,7 +12,7 @@ that contract:
   ``batch`` specs that the worker runs one after another.
 * The executor comes from a :class:`WorkerPool`, which forks its workers
   on first use and keeps them across calls: a caller that runs many
-  campaigns back to back (a fleet shard thread) passes its own pool and
+  campaigns back to back (the fleet scheduler) passes its own pool and
   pays the fork once; otherwise ``run_campaign`` makes a private pool
   and closes it before returning.
 * Per-trial timeouts are enforced *inside* the worker with ``SIGALRM``,

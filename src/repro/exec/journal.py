@@ -1,13 +1,15 @@
 """On-disk JSONL result journal: crash-safe resume and rerun cache hits.
 
 One journal file per campaign fingerprint.  The first line is a header
-record (campaign name, fingerprint, trial count, code version); each
-subsequent line is one finished trial.  Appends are line-atomic enough
-for our purposes: a campaign killed mid-write leaves at most one
-truncated trailing line, which :meth:`CampaignJournal.load_completed`
-silently drops.  Because the fingerprint covers configs, seeds, and code
-version, a journal can never resume a campaign it does not match — a
-changed input simply lands in a different file.
+record (campaign name, fingerprint, trial count); each subsequent line
+is one finished trial.  Appends are line-atomic enough for our purposes:
+a campaign killed mid-write leaves at most one truncated trailing line,
+which the reader (:func:`iter_trial_records`) silently drops and the
+next writer (:func:`open_journal`) ends before its first record.
+Because the fingerprint covers configs, seeds, and code version, a
+journal can never resume a campaign it does not match — a changed input
+simply lands in a different file.  The fleet's shard segments and
+compacted files share this line format, the opener and the reader.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Iterator, Optional, TextIO, Union
 
 from .spec import Campaign, ResultCodec
 
@@ -52,6 +54,84 @@ def trial_line(record: "TrialRecordLike", index: int, codec: ResultCodec) -> str
     })
 
 
+def journal_header(campaign: Campaign, fingerprint: str) -> dict:
+    """The header record that opens every journal-format file."""
+    return {
+        "kind": "header",
+        "name": campaign.name,
+        "fingerprint": fingerprint,
+        "n_trials": len(campaign),
+    }
+
+
+def open_journal(path: Path, header: dict) -> TextIO:
+    """Open a journal-format file for appending trial records.
+
+    A missing or empty file, or a foreign one (its first line a header of
+    another fingerprint, which :func:`iter_trial_records` ignores whole),
+    starts afresh with ``header``.  Any other file keeps the header it
+    has; if a writer killed mid-append left it ending in a torn line, a
+    newline ends that line, so the next record is not glued onto it.
+    """
+    first, torn = b"", False
+    if path.exists():
+        with open(path, "rb") as fh:
+            first = fh.readline()
+            if first:
+                fh.seek(-1, os.SEEK_END)
+                torn = fh.read(1) != b"\n"
+    if not first or _foreign_header(first, header["fingerprint"]):
+        fh = open(path, "w", encoding="utf-8")
+        fh.write(encode_line(header) + "\n")
+    else:
+        fh = open(path, "a", encoding="utf-8")
+        if torn:
+            fh.write("\n")
+    return fh
+
+
+def _foreign_header(line: bytes, fingerprint: str) -> bool:
+    try:
+        obj = json.loads(line)
+    except ValueError:  # torn or not UTF-8: not a header at all
+        return False
+    return (
+        isinstance(obj, dict)
+        and obj.get("kind") == "header"
+        and obj.get("fingerprint") != fingerprint
+    )
+
+
+def iter_trial_records(path: Path, fingerprint: str) -> Iterator[dict]:
+    """The trial records of one journal-format file, in file order.
+
+    Skips blank and unparseable lines: a writer killed mid-append leaves
+    a torn line, and writers append to an existing file without
+    rewriting its header, so even a torn header must not make the file
+    unreadable.  Stops at a header that carries another fingerprint;
+    writers put the header first, so a foreign file yields nothing.
+    Callers validate each record against their campaign (status, index
+    range, seed).
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except FileNotFoundError:
+        return
+    with fh:
+        for line in fh:
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if not isinstance(obj, dict):
+                continue
+            kind = obj.get("kind")
+            if kind == "trial":
+                yield obj
+            elif kind == "header" and obj.get("fingerprint") != fingerprint:
+                return
+
+
 class CampaignJournal:
     """Append-only JSONL store of one campaign's trial records."""
 
@@ -67,28 +147,15 @@ class CampaignJournal:
         self.path = self.directory / (
             f"{_safe_name(campaign.name)}-{self.fingerprint[:16]}.jsonl"
         )
-        self._header_written = self.path.exists()
 
     # -- writing ----------------------------------------------------------
-
-    def _header(self) -> dict:
-        return {
-            "kind": "header",
-            "name": self.campaign.name,
-            "fingerprint": self.fingerprint,
-            "n_trials": len(self.campaign),
-        }
 
     def append(self, record: "TrialRecordLike") -> None:
         """Durably record one finished trial."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        lines = []
-        if not self._header_written:
-            lines.append(encode_line(self._header()))
-            self._header_written = True
-        lines.append(trial_line(record, record.index, self.campaign.codec))
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        header = journal_header(self.campaign, self.fingerprint)
+        with open_journal(self.path, header) as fh:
+            fh.write(trial_line(record, record.index, self.campaign.codec) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
 
@@ -102,27 +169,10 @@ class CampaignJournal:
         can only happen through manual tampering, since the fingerprint is
         part of the filename.
         """
-        if not self.path.exists():
-            return {}
         completed: Dict[int, dict] = {}
         seeds = self.campaign.seeds
-        with open(self.path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-        for i, line in enumerate(raw.splitlines()):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                # A truncated line means the writer died mid-append; every
-                # complete record before it is still good.
-                continue
-            if obj.get("kind") == "header":
-                if obj.get("fingerprint") != self.fingerprint:
-                    return {}
-                continue
-            if obj.get("kind") != "trial" or obj.get("status") != "ok":
+        for obj in iter_trial_records(self.path, self.fingerprint):
+            if obj.get("status") != "ok":
                 continue
             index = obj.get("index")
             if not isinstance(index, int) or not 0 <= index < len(seeds):

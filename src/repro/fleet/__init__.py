@@ -6,8 +6,9 @@ trials:
 
 * :mod:`repro.fleet.sharding` — deterministic contiguous trial-range
   shards keyed by the campaign fingerprint (the dispatch/resume unit);
-* :mod:`repro.fleet.scheduler` — an asyncio scheduler with a bounded
-  priority queue, per-shard backpressure, crash retry with backoff, and
+* :mod:`repro.fleet.scheduler` — one synchronous wait loop that
+  dispatches shards in priority order to at most ``max_inflight`` shard
+  threads, with per-shard backpressure, crash retry with backoff, and
   graceful drain;
 * :mod:`repro.fleet.store` — append-only per-shard JSONL segments plus a
   compacted, journal-compatible index; constant-memory streaming reads;

@@ -1,28 +1,30 @@
-"""The asyncio fleet scheduler: campaigns as a long-running service.
+"""The fleet scheduler: campaigns as a long-running service.
 
 One scheduler drives one campaign run to completion (or graceful drain)
-over the existing process-pool executor:
+over the existing process-pool executor, from one wait loop on the
+calling thread:
 
-* shards flow through a **bounded priority queue** (``queue_depth``) —
-  the placement/priority knob reorders within the buffered window and
-  the bound keeps planning memory constant;
-* ``max_inflight`` worker tasks execute shards in a thread pool, each
-  shard running :func:`repro.exec.run_campaign` against its own store
-  segment (so per-trial durability and crash-retry come from the
-  engine, unchanged); each worker task owns one
-  :class:`~repro.exec.WorkerPool` and reuses its processes for every
-  shard it runs, so a run forks and joins them once, not per shard;
-* finished-shard summaries pass through a **bounded results queue** to
-  the consumer, which accounts them in the run report and the progress
-  reporter — a slow consumer therefore stalls dispatch instead of
-  piling results in memory (per-shard backpressure), and an
-  ``on_shard`` callback that raises stops dispatch, closes the pools and
-  propagates out of :meth:`FleetScheduler.run`;
-* a shard whose workers crashed retries with exponential backoff
-  (``shard_retries`` / ``retry_backoff_s``) before its failures stand;
+* shards are dispatched in the order ``order_shards`` gives the whole
+  plan, so the placement/priority knob orders every shard of the run;
+* at most ``max_inflight`` shards execute at once, each on a shard
+  thread that runs :func:`repro.exec.run_campaign` against the shard's
+  own store segment (so per-trial durability and crash-retry come from
+  the engine, unchanged); the run keeps one
+  :class:`~repro.exec.WorkerPool` per in-flight shard and hands a free
+  one to each shard it dispatches, so it forks and joins its workers
+  once, not per shard;
+* the loop accounts each finished shard in the run report and the
+  progress reporter and calls ``on_shard`` before that shard's pool
+  takes another shard, so a slow consumer stalls dispatch (at most
+  ``max_inflight`` shards run ahead of it), and an ``on_shard`` that
+  raises stops dispatch, waits for the in-flight shards, closes the
+  pools and propagates out of :meth:`FleetScheduler.run`;
+* a shard whose trials failed retries with exponential backoff
+  (``shard_retries`` / ``retry_backoff_s``) on its shard thread before
+  its failures stand;
 * :meth:`FleetScheduler.request_drain` stops new dispatch, finishes
-  in-flight shards, flushes, and returns a partial report — the
-  graceful-shutdown path (SIGINT/SIGTERM in the CLI).
+  in-flight shards, and returns a partial report — the graceful-shutdown
+  path (SIGINT/SIGTERM in the CLI).
 
 Everything the scheduler does is restartable: trial results are durable
 in the store as shards execute, so a SIGKILL at any point loses at most
@@ -32,11 +34,10 @@ shards and completes the remainder.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Union
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..exec.executor import ExecPolicy, WorkerPool, run_campaign
 from ..exec.spec import Campaign
@@ -48,13 +49,12 @@ from .store import DEFAULT_FLEET_DIR, FleetStore
 class FleetPolicy:
     """How the fleet runs a campaign (the campaign says *what* runs).
 
-    ``jobs_per_shard`` sizes each shard thread's pool, reused across its
+    ``jobs_per_shard`` sizes each in-flight shard's pool, reused across
     shards (CPU fan-out); ``max_inflight`` bounds concurrently executing
     shards (pipeline overlap), so a run keeps up to ``max_inflight *
-    jobs_per_shard`` worker processes; ``queue_depth`` /
-    ``result_buffer`` bound the dispatch and results queues
-    (backpressure).  ``batch`` is how many of a shard's
-    trials go to one of its workers as a single pool task (see
+    jobs_per_shard`` worker processes, and it bounds how many shards run
+    ahead of the consumer (backpressure).  ``batch`` is how many of a
+    shard's trials go to one of its workers as a single pool task (see
     :class:`repro.exec.ExecPolicy`).  Shards run on scheduler threads,
     where a ``SIGALRM`` cannot fire, so a ``timeout_s`` runs every
     shard's trials in worker processes even at ``jobs_per_shard=1``.
@@ -65,8 +65,6 @@ class FleetPolicy:
     shard_size: int = DEFAULT_SHARD_SIZE
     max_inflight: int = 2
     jobs_per_shard: int = 1
-    queue_depth: int = 8
-    result_buffer: int = 4
     shard_retries: int = 2
     retry_backoff_s: float = 0.05
     timeout_s: Optional[float] = None
@@ -77,9 +75,12 @@ class FleetPolicy:
 
     def __post_init__(self) -> None:
         for field in ("shard_size", "max_inflight", "jobs_per_shard",
-                      "queue_depth", "result_buffer", "flush_every", "batch"):
+                      "flush_every", "batch"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1")
+        for field in ("shard_retries", "trial_retries", "retry_backoff_s"):
+            if getattr(self, field) < 0:
+                raise ValueError(f"{field} must be >= 0")
 
 
 @dataclasses.dataclass
@@ -124,7 +125,7 @@ class FleetReport:
 
 
 class FleetScheduler:
-    """Async shard scheduler over one campaign and its results store."""
+    """Shard scheduler over one campaign and its results store."""
 
     def __init__(
         self,
@@ -133,9 +134,7 @@ class FleetScheduler:
         policy: Optional[FleetPolicy] = None,
         priority: Optional[Callable[[ShardSpec], float]] = None,
         reporter: Optional["ProgressReporter"] = None,
-        on_shard: Optional[
-            Callable[[ShardOutcome], Union[None, Awaitable[None]]]
-        ] = None,
+        on_shard: Optional[Callable[[ShardOutcome], None]] = None,
     ) -> None:
         self.campaign = campaign
         self.store = store
@@ -144,26 +143,15 @@ class FleetScheduler:
         self.reporter = reporter
         self.on_shard = on_shard
         self._drain_requested = False
-        self._drain_event: Optional[asyncio.Event] = None
-        # Backpressure instrumentation: shards started minus shards whose
-        # results the consumer has fully processed, and its peak.
-        self._started = 0
-        self._consumed = 0
-        self._peak_ahead = 0
-
-    # -- external control --------------------------------------------------
 
     def request_drain(self) -> None:
-        """Stop dispatching new shards; finish in-flight ones and return."""
+        """Stop dispatching new shards; finish in-flight ones and return.
+
+        Only sets a flag, so a signal handler may call it.
+        """
         self._drain_requested = True
-        if self._drain_event is not None:
-            self._drain_event.set()
 
-    @property
-    def draining(self) -> bool:
-        return self._drain_requested
-
-    # -- shard execution (runs in a worker thread) -------------------------
+    # -- shard execution (runs in a shard thread) --------------------------
 
     def _run_shard_once(
         self, shard: ShardSpec, workers: WorkerPool
@@ -198,8 +186,8 @@ class FleetScheduler:
             outcome.records.append(record)
         return outcome
 
-    async def _execute_with_retry(
-        self, shard: ShardSpec, threads, workers: WorkerPool
+    def _execute_with_retry(
+        self, shard: ShardSpec, workers: WorkerPool
     ) -> ShardOutcome:
         """Run a shard, retrying crashed/failed trials with backoff.
 
@@ -207,17 +195,11 @@ class FleetScheduler:
         retry only re-runs the trials that did not complete.  Every
         attempt runs on the caller's ``workers``.
         """
-        loop = asyncio.get_running_loop()
-        outcome: Optional[ShardOutcome] = None
         for attempt in range(self.policy.shard_retries + 1):
             if attempt:
-                await asyncio.sleep(
-                    self.policy.retry_backoff_s * (2 ** (attempt - 1))
-                )
+                time.sleep(self.policy.retry_backoff_s * (2 ** (attempt - 1)))
             try:
-                outcome = await loop.run_in_executor(
-                    threads, self._run_shard_once, shard, workers
-                )
+                outcome = self._run_shard_once(shard, workers)
             except Exception as exc:  # noqa: BLE001 - reported, not raised
                 outcome = ShardOutcome(
                     shard=shard, error=f"{type(exc).__name__}: {exc}"
@@ -229,9 +211,7 @@ class FleetScheduler:
 
     # -- the service loop --------------------------------------------------
 
-    async def run(
-        self, shards: Optional[Sequence[ShardSpec]] = None
-    ) -> FleetReport:
+    def run(self, shards: Optional[Sequence[ShardSpec]] = None) -> FleetReport:
         """Drive pending shards to completion (or drain) and report."""
         policy = self.policy
         started_at = time.perf_counter()
@@ -253,95 +233,56 @@ class FleetScheduler:
                 cached=already_done,
             )
 
-        self._drain_event = asyncio.Event()
-        if self._drain_requested:
-            self._drain_event.set()
-        queue: asyncio.PriorityQueue = asyncio.PriorityQueue(
-            maxsize=policy.queue_depth
-        )
-        results: asyncio.Queue = asyncio.Queue(maxsize=policy.result_buffer)
-        n_workers = min(policy.max_inflight, max(1, len(plan)))
-
-        async def feeder() -> None:
-            rank = {s.shard_id: i for i, s in enumerate(plan)}
-            for shard in sorted(plan, key=lambda s: s.shard_id):
-                if self._drain_event.is_set():
-                    break
-                await queue.put((rank[shard.shard_id], shard.shard_id, shard))
-            for _ in range(n_workers):
-                await queue.put((len(plan), -1, None))
-
-        async def worker(workers: WorkerPool) -> None:
-            while True:
-                _, _, shard = await queue.get()
-                if shard is None:
-                    break
-                if self._drain_event.is_set():
-                    report.shards_skipped += 1
-                    continue
-                self._started += 1
-                self._peak_ahead = max(
-                    self._peak_ahead, self._started - self._consumed
-                )
-                outcome = await self._execute_with_retry(
-                    shard, threads, workers
-                )
-                await results.put(outcome)
-
-        async def consumer() -> None:
-            while True:
-                outcome = await results.get()
-                if outcome is None:
-                    break
-                self._account(outcome, report)
-                if self.on_shard is not None:
-                    maybe = self.on_shard(outcome)
-                    if asyncio.iscoroutine(maybe):
-                        await maybe
-                self._consumed += 1
-                if (
-                    policy.stop_after_shards is not None
-                    and report.shards_executed >= policy.stop_after_shards
-                ):
-                    self.request_drain()
-
-        # One process pool per worker task, forked on its first parallel
-        # shard: concurrent shards never share workers, so one shard's
-        # crash cannot break another's trials.
-        pools = [WorkerPool(policy.jobs_per_shard) for _ in range(n_workers)]
+        # One process pool per in-flight shard, forked on its first
+        # parallel shard: concurrent shards never share workers, so one
+        # shard's crash cannot break another's trials.
+        pools = [
+            WorkerPool(policy.jobs_per_shard)
+            for _ in range(min(policy.max_inflight, len(plan)))
+        ]
+        free = list(pools)
+        running: Dict[Future, WorkerPool] = {}
+        dispatched = 0
         try:
+            # Shards run on threads even one at a time: a trial timeout
+            # off the main thread moves the trials into worker processes.
             with ThreadPoolExecutor(
-                max_workers=n_workers, thread_name_prefix="fleet-shard"
+                max_workers=max(1, len(pools)), thread_name_prefix="fleet-shard"
             ) as threads:
-                feeder_task = asyncio.create_task(feeder())
-                worker_tasks = [
-                    asyncio.create_task(worker(workers)) for workers in pools
-                ]
-                consumer_task = asyncio.create_task(consumer())
-                producers = asyncio.gather(feeder_task, *worker_tasks)
-                await asyncio.wait(
-                    (producers, consumer_task),
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if consumer_task.done():
-                    # The consumer stops early only by raising (an
-                    # ``on_shard`` callback): its workers would block on
-                    # the full results queue forever, so stop dispatch and
-                    # re-raise.
-                    producers.cancel()
-                    await asyncio.gather(producers, return_exceptions=True)
-                    consumer_task.result()
-                await producers
-                await results.put(None)
-                await consumer_task
+                while True:
+                    while (free and dispatched < len(plan)
+                           and not self._drain_requested):
+                        workers = free.pop()
+                        future = threads.submit(
+                            self._execute_with_retry, plan[dispatched], workers
+                        )
+                        running[future] = workers
+                        dispatched += 1
+                        report.peak_dispatch_ahead = max(
+                            report.peak_dispatch_ahead, len(running)
+                        )
+                    if not running:
+                        break
+                    finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                    for future in finished:
+                        outcome = future.result()
+                        self._account(outcome, report)
+                        if self.on_shard is not None:
+                            self.on_shard(outcome)
+                        if (
+                            policy.stop_after_shards is not None
+                            and report.shards_executed >= policy.stop_after_shards
+                        ):
+                            self.request_drain()
+                        free.append(running.pop(future))
         finally:
             for workers in pools:
                 workers.close()
 
+        report.shards_skipped = len(plan) - dispatched
         report.completed_trials = self.store.completed_trials()
         report.drained = self._drain_requested and not report.complete
         report.elapsed_s = time.perf_counter() - started_at
-        report.peak_dispatch_ahead = self._peak_ahead
         if self.reporter is not None:
             self.reporter.finish(self.reporter.snapshot())
         return report
@@ -367,7 +308,7 @@ def run_fleet(
     reporter: Optional["ProgressReporter"] = None,
     meta: Optional[Dict] = None,
 ) -> "tuple[FleetReport, FleetStore]":
-    """Synchronous front door: shard, schedule, and run one campaign.
+    """Shard, schedule, and run one campaign.
 
     Creates (or reopens) the campaign's fleet store under ``root``,
     persists run metadata, and drives every pending shard.  Safe to call
@@ -379,5 +320,4 @@ def run_fleet(
     scheduler = FleetScheduler(
         campaign, store, policy, priority=priority, reporter=reporter
     )
-    report = asyncio.run(scheduler.run())
-    return report, store
+    return scheduler.run(), store

@@ -23,8 +23,6 @@ Verbs:
 
 from __future__ import annotations
 
-import asyncio
-import contextlib
 import json
 import signal
 import sys
@@ -99,7 +97,6 @@ def policy_from_args(args) -> FleetPolicy:
         shard_size=args.shard_size,
         max_inflight=args.max_inflight,
         jobs_per_shard=args.jobs_per_shard,
-        queue_depth=args.queue_depth,
         shard_retries=args.shard_retries,
         timeout_s=args.timeout_s,
         flush_every=args.flush_every,
@@ -117,24 +114,6 @@ def _priority_for(spec: Dict, campaign: Campaign):
         seed=spec.get("dc_seed", 0),
     )
     return quiet_hours_priority(campaign, datacenter)
-
-
-async def _run_with_signals(scheduler: FleetScheduler, shards=None) -> FleetReport:
-    """Scheduler run with SIGINT/SIGTERM wired to graceful drain."""
-    loop = asyncio.get_running_loop()
-    installed = []
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, scheduler.request_drain)
-            installed.append(signum)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass
-    try:
-        return await scheduler.run(shards)
-    finally:
-        for signum in installed:
-            with contextlib.suppress(Exception):
-                loop.remove_signal_handler(signum)
 
 
 def _print_report(report: FleetReport, store: FleetStore) -> None:
@@ -166,7 +145,18 @@ def _drive(campaign: Campaign, spec: Dict, args, shards=None) -> int:
         priority=_priority_for(spec, campaign),
         reporter=reporter,
     )
-    report = asyncio.run(_run_with_signals(scheduler, shards))
+    # SIGINT/SIGTERM drain gracefully: in-flight shards finish and flush.
+    previous = {
+        signum: signal.signal(
+            signum, lambda _signum, _frame: scheduler.request_drain()
+        )
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
+    try:
+        report = scheduler.run(shards)
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
     _print_report(report, store)
     if report.complete:
         path = store.compact()

@@ -10,11 +10,12 @@ One fleet run = one directory keyed by the campaign fingerprint::
 
 Segments and the compacted file use the *exact* line format of
 :mod:`repro.exec.journal` (a header record followed by one JSON trial
-record per line), so every journal reader works on fleet output; the
-compacted file of a finished run *is* a valid single-file campaign
-journal.  Writes are append-only and the durability unit is a small
-batch of trials (``flush_every``): a SIGKILL loses at most the unflushed
-tail of each in-flight shard, which resume simply re-runs.
+record per line) and are read by its one reader,
+:func:`~repro.exec.journal.iter_trial_records`; the compacted file of a
+finished run *is* a valid single-file campaign journal.  Writes are
+append-only and the durability unit is a small batch of trials
+(``flush_every``): a SIGKILL loses at most the unflushed tail of each
+in-flight shard, which resume simply re-runs.
 
 Reading is streaming: :meth:`FleetStore.iter_completed` walks shards in
 index order, holding at most one shard's records in memory at a time —
@@ -34,7 +35,14 @@ import os
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from ..exec.journal import _safe_name, encode_line, trial_line
+from ..exec.journal import (
+    _safe_name,
+    encode_line,
+    iter_trial_records,
+    journal_header,
+    open_journal,
+    trial_line,
+)
 from ..exec.spec import Campaign
 from .sharding import ShardSpec, plan_shards
 
@@ -50,20 +58,6 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
-
-
-def _parse_segment_lines(raw: str) -> Iterator[dict]:
-    """Yield well-formed JSON records of a segment, dropping a torn tail."""
-    for line in raw.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            yield json.loads(line)
-        except json.JSONDecodeError:
-            # The writer died mid-append; every record before the torn
-            # line is still good, and nothing valid can follow it.
-            continue
 
 
 class ShardJournal:
@@ -89,7 +83,6 @@ class ShardJournal:
         self.path = store.segment_path(shard)
         self.flush_every = max(1, flush_every)
         self._buffer: List[str] = []
-        self._header_written = self.path.exists()
         self._fh = None
 
     # -- journal duck-type (local indices, used by run_campaign) ----------
@@ -120,13 +113,10 @@ class ShardJournal:
             return
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a", encoding="utf-8")
-        lines = []
-        if not self._header_written:
-            lines.append(encode_line(self.store.segment_header(self.shard)))
-            self._header_written = True
-        lines.extend(self._buffer)
-        self._buffer = []
+            self._fh = open_journal(
+                self.path, self.store.segment_header(self.shard)
+            )
+        lines, self._buffer = self._buffer, []
         self._fh.write("\n".join(lines) + "\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())
@@ -202,10 +192,7 @@ class FleetStore:
     def segment_header(self, shard: ShardSpec) -> dict:
         """Journal-compatible header, extended with the shard range."""
         return {
-            "kind": "header",
-            "name": self.campaign.name,
-            "fingerprint": self.fingerprint,
-            "n_trials": len(self.campaign),
+            **journal_header(self.campaign, self.fingerprint),
             "shard_id": shard.shard_id,
             "lo": shard.lo,
             "hi": shard.hi,
@@ -286,22 +273,12 @@ class FleetStore:
 
     def _read_segment(self, shard: ShardSpec, records: Dict[int, dict]) -> None:
         """Admit the shard's live segment records (they override compacted)."""
-        path = self.segment_path(shard)
-        if path.exists():
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = fh.read()
-            for obj in _parse_segment_lines(raw):
-                self._admit(records, obj, shard)
+        for obj in iter_trial_records(self.segment_path(shard), self.fingerprint):
+            self._admit(records, obj, shard)
 
     def _admit(self, records: Dict[int, dict], obj: dict, shard: ShardSpec) -> None:
-        """Validate one parsed record and add it to the shard's map."""
-        if obj.get("kind") == "header":
-            # A mismatched fingerprint cannot happen without tampering
-            # (it is part of the directory name), but stay defensive.
-            if obj.get("fingerprint") != self.fingerprint:
-                records.clear()
-            return
-        if obj.get("kind") != "trial" or obj.get("status") != "ok":
+        """Validate one trial record and add it to the shard's map."""
+        if obj.get("status") != "ok":
             return
         index = obj.get("index")
         if not isinstance(index, int) or not shard.contains(index):
@@ -311,32 +288,11 @@ class FleetStore:
         records[index] = obj
 
     def _iter_compacted(self) -> Iterator[dict]:
-        """The compacted file's trial records, in file (= index) order.
-
-        Yields nothing unless the file opens with this campaign's header:
-        a file without one is not this store's output.
-        """
+        """The compacted file's trial records, in file (= index) order."""
         path = self.run_dir / self.COMPACTED
-        if not path.exists():
-            return
-        with open(path, "r", encoding="utf-8") as fh:
-            header = None
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if header is None:
-                    header = obj
-                    if (obj.get("kind") != "header"
-                            or obj.get("fingerprint") != self.fingerprint):
-                        return
-                    continue
-                if obj.get("kind") == "trial" and isinstance(obj.get("index"), int):
-                    yield obj
+        for obj in iter_trial_records(path, self.fingerprint):
+            if isinstance(obj.get("index"), int):
+                yield obj
 
     # -- progress index ---------------------------------------------------
 
@@ -441,12 +397,7 @@ class FleetStore:
         self.run_dir.mkdir(parents=True, exist_ok=True)
         target = self.run_dir / self.COMPACTED
         tmp = target.with_suffix(".tmp")
-        header = {
-            "kind": "header",
-            "name": self.campaign.name,
-            "fingerprint": self.fingerprint,
-            "n_trials": len(self.campaign),
-        }
+        header = journal_header(self.campaign, self.fingerprint)
         done: Dict[int, int] = {}
         folded: List[int] = []
         with open(tmp, "w", encoding="utf-8") as out:

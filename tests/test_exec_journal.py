@@ -142,6 +142,17 @@ class TestCrashSafety:
         completed = CampaignJournal(tmp_path / "j", campaign).load_completed()
         assert set(completed) == {0, 1, 2, 3}
 
+    def test_resume_after_torn_tail_keeps_the_rerun_trial(self, tmp_path):
+        campaign, journal = self._journaled_campaign(tmp_path)
+        raw = journal.path.read_text(encoding="utf-8")
+        journal.path.write_text(raw[:-20], encoding="utf-8")  # killed mid-write
+        journal = CampaignJournal(tmp_path / "j", campaign)
+        assert set(journal.load_completed()) == {0, 1, 2}
+        run_campaign(campaign, ExecPolicy(jobs=1), journal=journal)
+        # The rerun trial starts a fresh line instead of extending the
+        # torn one, so it is durable.
+        assert set(journal.load_completed()) == {0, 1, 2, 3}
+
     def test_tampered_seed_is_ignored(self, tmp_path):
         campaign, journal = self._journaled_campaign(tmp_path)
         lines = journal.path.read_text(encoding="utf-8").splitlines()
@@ -162,7 +173,12 @@ class TestCrashSafety:
         header["fingerprint"] = "0" * 64
         lines[0] = json.dumps(header)
         journal.path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert CampaignJournal(tmp_path / "j", campaign).load_completed() == {}
+        journal = CampaignJournal(tmp_path / "j", campaign)
+        assert journal.load_completed() == {}
+        # A rerun starts the foreign file afresh and is durable.
+        result = run_campaign(campaign, ExecPolicy(jobs=1), journal=journal)
+        assert result.metrics.cached == 0
+        assert set(journal.load_completed()) == {0, 1, 2, 3}
 
     def test_different_configs_use_different_files(self, tmp_path):
         cfg_a = {"marker_dir": str(tmp_path / "a")}

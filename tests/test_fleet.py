@@ -7,7 +7,6 @@ serial ``run_campaign`` of the same specs.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import multiprocessing
 import os
@@ -38,6 +37,7 @@ from repro.fleet import (
     FleetScheduler,
     FleetStore,
     noise_mc_campaign,
+    noise_window_trial,
     order_shards,
     placement_campaign,
     plan_shards,
@@ -45,6 +45,7 @@ from repro.fleet import (
     run_fleet,
     shard_subcampaign,
 )
+from repro.fleet.service import build_campaign
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -122,7 +123,7 @@ class TestStoreAndResume:
         )
         report, store = run_fleet(campaign, tmp_path, policy)
         assert report.complete and report.failed_trials == 0
-        # Five shards, but each shard coroutine forks one pool and reuses
+        # Five shards, but each in-flight slot forks one pool and reuses
         # it; the pools are closed when the run returns.
         assert report.shards_executed == 5
         assert 1 <= len(forks) <= policy.max_inflight
@@ -274,6 +275,65 @@ class TestStoreAndResume:
         assert result.metrics.completed == 0
         assert result.values() == _serial_values(campaign)
 
+    def _finished_store(self, tmp_path):
+        """A finished, uncompacted 40-trial run of four shards."""
+        campaign = _campaign(trials=40)
+        report, store = run_fleet(campaign, tmp_path, FleetPolicy(shard_size=10))
+        assert report.complete and len(store.shards) == 4
+        return campaign, store
+
+    def test_torn_segment_tail_is_rerun_on_resume(self, tmp_path):
+        campaign, store = self._finished_store(tmp_path)
+        segment = store.segment_path(store.shards[2])
+        raw = segment.read_text()
+        segment.write_text(raw[:-20])  # killed mid-append: no newline
+        assert store.completed_trials() == 39
+        assert store.pending_shards() == [store.shards[2]]
+        # The resumed trial must not be glued onto the torn line.
+        report, store = run_fleet(campaign, tmp_path, FleetPolicy(shard_size=10))
+        assert report.complete and report.shards_executed == 1
+        assert [v for _, v in store.iter_values()] == _serial_values(campaign)
+
+    def test_tampered_segment_header_discards_the_segment(self, tmp_path):
+        campaign, store = self._finished_store(tmp_path)
+        segment = store.segment_path(store.shards[1])
+        lines = segment.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["fingerprint"] = "0" * 64
+        segment.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        assert store.completed_trials() == 30
+        assert store.pending_shards() == [store.shards[1]]
+        report, store = run_fleet(campaign, tmp_path, FleetPolicy(shard_size=10))
+        assert report.complete and report.shards_executed == 1
+        assert [v for _, v in store.iter_values()] == _serial_values(campaign)
+
+    def test_kill_between_compaction_replace_and_unlinks(
+        self, tmp_path, monkeypatch
+    ):
+        campaign, store = self._finished_store(tmp_path)
+
+        class Killed(Exception):
+            pass
+
+        def killed(path, *args, **kwargs):
+            raise Killed(path)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "unlink", killed)
+            with pytest.raises(Killed):
+                store.compact()
+        # Both copies are on disk; each trial still counts once.
+        assert (store.run_dir / store.COMPACTED).exists()
+        assert all(store.segment_path(s).exists() for s in store.shards)
+        assert store.completed_trials() == 40
+        values = list(store.iter_values())
+        assert [i for i, _ in values] == list(range(40))
+        assert [v for _, v in values] == _serial_values(campaign)
+        # A second compaction removes the leftover segments.
+        store.compact()
+        assert not any(store.segment_path(s).exists() for s in store.shards)
+        assert [v for _, v in store.iter_values()] == _serial_values(campaign)
+
     def test_store_rejects_foreign_shard(self, tmp_path):
         campaign = _campaign(trials=60, seed=1)
         other = _campaign(trials=60, seed=2)
@@ -286,30 +346,27 @@ class TestStoreAndResume:
 class TestScheduler:
     def test_backpressure_bounds_dispatch_ahead_of_slow_consumer(self, tmp_path):
         campaign = _campaign(trials=600)
-        policy = FleetPolicy(
-            shard_size=20, max_inflight=2, queue_depth=2, result_buffer=2
-        )
+        policy = FleetPolicy(shard_size=20, max_inflight=2)
         store = FleetStore(tmp_path, campaign, policy.shard_size)
         store.write_meta()
 
-        async def slow_consumer(outcome):
-            await asyncio.sleep(0.01)
+        def slow_consumer(outcome):
+            time.sleep(0.01)
 
         scheduler = FleetScheduler(
             campaign, store, policy, on_shard=slow_consumer
         )
-        report = asyncio.run(scheduler.run())
+        report = scheduler.run()
         assert report.complete
         # Dispatch never ran away from the consumer: bounded by the
-        # in-flight window plus the buffered results, far below the 30
-        # shards a backpressure-free scheduler would race through.
-        bound = policy.max_inflight + policy.result_buffer + 1
-        assert 0 < report.peak_dispatch_ahead <= bound
+        # in-flight window, far below the 30 shards a backpressure-free
+        # scheduler would race through.
+        assert 0 < report.peak_dispatch_ahead <= policy.max_inflight
         assert report.n_shards == 30
 
     def test_priority_orders_dispatch(self, tmp_path):
         campaign = _campaign(trials=100)
-        policy = FleetPolicy(shard_size=20, max_inflight=1, queue_depth=8)
+        policy = FleetPolicy(shard_size=20, max_inflight=1)
         store = FleetStore(tmp_path, campaign, policy.shard_size)
         store.write_meta()
         executed = []
@@ -322,9 +379,25 @@ class TestScheduler:
             priority=lambda s: -s.lo,  # highest range first
             on_shard=note,
         )
-        report = asyncio.run(scheduler.run())
+        report = scheduler.run()
         assert report.complete
         assert executed == [4, 3, 2, 1, 0]
+
+    def test_priority_orders_the_whole_plan(self, tmp_path):
+        """Priority orders every shard of the run, not a window of them."""
+        campaign = _campaign(trials=200)
+        policy = FleetPolicy(shard_size=10, max_inflight=1)
+        store = FleetStore(tmp_path, campaign, policy.shard_size)
+        store.write_meta()
+        executed = []
+        scheduler = FleetScheduler(
+            campaign, store, policy,
+            priority=lambda s: -s.lo,
+            on_shard=lambda outcome: executed.append(outcome.shard.shard_id),
+        )
+        report = scheduler.run()
+        assert report.complete
+        assert executed == list(range(19, -1, -1))
 
     def test_crashing_trials_retry_then_stand_as_failures(self, tmp_path):
         from repro.exec.spec import Campaign
@@ -363,8 +436,8 @@ class TestScheduler:
 
         monkeypatch.setattr(scheduler_mod, "WorkerPool", RecordingPool)
         # Seed 3 kills its worker in shard 0; seed 12 holds the other
-        # shard coroutine in shard 1, so the coroutine whose pool broke
-        # runs the later shards.
+        # in-flight slot in shard 1, so the slot whose pool broke runs
+        # the later shards.
         cfg = {"crash_seed": 3, "slow_seed": 12, "sleep_s": 2.0}
         campaign = Campaign.build(
             "dying", dying_trial, cfg, trials=40,
@@ -399,9 +472,7 @@ class TestScheduler:
 
     def test_failing_callback_raises_instead_of_hanging(self, tmp_path):
         campaign = _campaign(trials=200)
-        policy = FleetPolicy(
-            shard_size=10, max_inflight=2, jobs_per_shard=2, result_buffer=1
-        )
+        policy = FleetPolicy(shard_size=10, max_inflight=2, jobs_per_shard=2)
         store = FleetStore(tmp_path, campaign, policy.shard_size)
         store.write_meta()
         seen = []
@@ -415,12 +486,12 @@ class TestScheduler:
 
         def target():
             try:
-                asyncio.run(scheduler.run())
+                scheduler.run()
             except Exception as exc:  # noqa: BLE001 - inspected below
                 box["exc"] = exc
 
-        # Bounded: the workers of a dead consumer block on the full
-        # results queue, so an unfixed run never returns.
+        # Bounded: a run that keeps dispatching after its consumer died,
+        # or never joins its pools, does not return.
         runner = threading.Thread(target=target, daemon=True)
         runner.start()
         runner.join(timeout=60)
@@ -446,6 +517,15 @@ class TestScheduler:
             0, 1, 2, 4, 5, 6, 7,
         ]
 
+    @pytest.mark.parametrize(
+        "field", ["shard_retries", "trial_retries", "retry_backoff_s"]
+    )
+    def test_policy_rejects_negative_retry_settings(self, field):
+        # A negative retry count would run a shard zero times and report
+        # nothing; a negative backoff would make the retry sleep raise.
+        with pytest.raises(ValueError, match=field):
+            FleetPolicy(**{field: -1})
+
     def test_drain_before_start_executes_nothing(self, tmp_path):
         campaign = _campaign(trials=100)
         policy = FleetPolicy(shard_size=20)
@@ -453,7 +533,7 @@ class TestScheduler:
         store.write_meta()
         scheduler = FleetScheduler(campaign, store, policy)
         scheduler.request_drain()
-        report = asyncio.run(scheduler.run())
+        report = scheduler.run()
         assert report.shards_executed == 0
         assert report.completed_trials == 0
         assert report.drained
@@ -579,6 +659,44 @@ class TestServiceCLI:
                         "--fleet-dir", fleet_dir, cwd=tmp_path)
         assert r.returncode == 0, r.stderr
         assert "verified: fleet aggregates == serial" in r.stdout
+
+    @pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
+    def test_signal_drains_gracefully(self, tmp_path, signame):
+        """SIGINT/SIGTERM finish the in-flight shards and exit cleanly."""
+        fleet_dir = tmp_path / "fleet"
+        trials = 200_000  # far more than can finish before the signal
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "fleet", "submit",
+             "--name", "noise-mc", "--trials", str(trials),
+             "--fleet-dir", str(fleet_dir)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            cwd=tmp_path, env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not list(fleet_dir.glob("*/shards/*.jsonl")):
+                assert proc.poll() is None, proc.communicate()
+                assert time.monotonic() < deadline, "no segment was written"
+                time.sleep(0.01)
+            proc.send_signal(getattr(signal, signame))
+            out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, err
+        assert "[drained]" in out
+        (run_dir,) = fleet_dir.iterdir()
+        meta = json.loads((run_dir / FleetStore.META).read_text())
+        campaign = build_campaign(meta["cli"])
+        store = FleetStore(fleet_dir, campaign, meta["shard_size"])
+        durable = dict(store.iter_values())
+        assert 0 < len(durable) < trials
+        for index, value in durable.items():
+            assert value == noise_window_trial(
+                campaign.configs[index], campaign.seeds[index]
+            )
 
     def test_serial_campaign_cli_shares_noise_mc(self, tmp_path):
         r = self._repro(
