@@ -68,21 +68,15 @@ _PAGE_OFFSETS = (0x000, 0x140, 0x240, 0x2C0, 0x380)
 class FuzzConfig:
     """Picklable knobs for one fuzz trial (trace shape, not content).
 
-    ``noise``/``partition``/``defense`` accept ``"mix"`` to let each
-    trace draw its own setting from the trace seed — the default, so one
-    campaign covers quiet, noisy, defended, and undefended machines.
-
-    ``defense`` is the general axis (any :data:`repro.defenses.registry.
-    DEFENSE_NAMES` entry, or ``"mix"``); ``partition`` is the legacy
-    way-partition-only knob it grew out of.  An explicit ``defense``
-    wins; otherwise ``partition="always"`` forces way partitioning and
-    ``partition="never"`` forces an undefended machine, exactly as
-    before the axis existed.
+    ``noise`` and ``defense`` accept ``"mix"`` to let each trace draw
+    its own setting from the trace seed — the default, so one campaign
+    covers quiet, noisy, defended, and undefended machines.  ``defense``
+    is any :data:`repro.defenses.registry.DEFENSE_NAMES` entry (``"none"``
+    is an undefended machine) or ``"mix"``.
     """
 
     machine: str = "tiny"
     noise: str = "mix"  # "none" | "cloud-quiet" | "cloud" | "local" | "mix"
-    partition: str = "mix"  # "never" | "always" | "mix"
     n_ops: int = 10
     check_invariants: bool = True
     defense: str = "mix"  # DEFENSE_NAMES entry | "mix"
@@ -102,19 +96,13 @@ def generate_trace(cfg: FuzzConfig, seed: int) -> Dict[str, Any]:
     noise = cfg.noise
     if noise == "mix":
         noise = rng.choice(("none", "none", "cloud-quiet", "cloud"))
-    # Defense axis: an explicit cfg.defense wins; otherwise the legacy
-    # partition knob keeps its exact pre-axis meaning, and full mix mode
-    # draws any defense (half the traces stay undefended).
+    # Defense axis: mix mode draws any defense (half the traces stay
+    # undefended).
     defense_kind = cfg.defense
     if defense_kind == "mix":
-        if cfg.partition == "always":
-            defense_kind = "way-partition"
-        elif cfg.partition == "never":
-            defense_kind = "none"
-        else:
-            defense_kind = rng.choice(
-                ("none",) * (len(DEFENSE_NAMES) - 1) + DEFENSE_NAMES[1:]
-            )
+        defense_kind = rng.choice(
+            ("none",) * (len(DEFENSE_NAMES) - 1) + DEFENSE_NAMES[1:]
+        )
     partition = None
     defense = None
     if defense_kind == "way-partition":

@@ -116,7 +116,7 @@ def run_selftest(
         with mutate():
             return not run_tiers(trace)["ok"]
 
-    cfg = cfg or FuzzConfig(noise="none", partition="never")
+    cfg = cfg or FuzzConfig(noise="none", defense="none")
     artifact_dir = Path(artifact_dir or DEFAULT_ARTIFACT_DIR)
     for seed in range(base_seed, base_seed + max_seeds):
         trace = generate_trace(cfg, seed)

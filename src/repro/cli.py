@@ -93,6 +93,16 @@ def _resolve_jobs(args) -> int:
     return default_jobs() if args.jobs == 0 else args.jobs
 
 
+def _checked(args, build):
+    """``build()``'s policy; a flag value the policy rejects (its
+    ``ValueError``) is a usage error, reported as argparse reports a bad
+    choice: a usage line, the message, exit status 2."""
+    try:
+        return build()
+    except ValueError as exc:
+        args.parser.error(str(exc))
+
+
 def cmd_evset(args) -> int:
     table = Table(
         f"SF eviction-set construction ({args.algo}, {args.env})",
@@ -110,9 +120,8 @@ def cmd_evset(args) -> int:
         base_seed=args.seed,
         page_offset=args.page_offset,
     )
-    result = run_campaign(
-        campaign, ExecPolicy(jobs=_resolve_jobs(args))
-    ).raise_on_failure()
+    policy = _checked(args, lambda: ExecPolicy(jobs=_resolve_jobs(args)))
+    result = run_campaign(campaign, policy).raise_on_failure()
     successes = 0
     for trial, sample in enumerate(result.values()):
         valid = "-"
@@ -175,16 +184,16 @@ def cmd_attack(args) -> int:
 def cmd_campaign(args) -> int:
     if getattr(args, "positional_name", None):
         args.name = args.positional_name
-    campaign = CLI_CAMPAIGNS[args.name](args)
-    journal = None
-    if not args.no_journal:
-        journal = CampaignJournal(args.journal_dir, campaign)
-    policy = ExecPolicy(
+    policy = _checked(args, lambda: ExecPolicy(
         jobs=_resolve_jobs(args),
         timeout_s=args.timeout_s,
         max_retries=args.retries,
         batch=args.batch,
-    )
+    ))
+    campaign = CLI_CAMPAIGNS[args.name](args)
+    journal = None
+    if not args.no_journal:
+        journal = CampaignJournal(args.journal_dir, campaign)
     reporter = ProgressReporter(enabled=args.progress)
     result = run_campaign(campaign, policy, journal=journal, reporter=reporter)
 
@@ -245,8 +254,10 @@ def cmd_campaign(args) -> int:
 
 def cmd_fleet(args) -> int:
     """Fleet service verbs (sharded, resumable campaign runs)."""
-    from .fleet.service import FLEET_VERBS  # lazy: keep base CLI light
+    # lazy: keep base CLI light
+    from .fleet.service import FLEET_VERBS, policy_from_args
 
+    _checked(args, lambda: policy_from_args(args))
     return FLEET_VERBS[args.verb](args)
 
 
@@ -286,7 +297,6 @@ def cmd_fuzz(args) -> int:
     cfg = FuzzConfig(
         machine=args.machine,
         noise=args.noise,
-        partition=args.partition,
         n_ops=args.ops,
         defense=args.defense,
     )
@@ -294,7 +304,7 @@ def cmd_fuzz(args) -> int:
         status = 0
         for mutation in MUTATIONS:
             summary = run_selftest(
-                dataclasses.replace(cfg, noise="none", partition="never"),
+                dataclasses.replace(cfg, noise="none", defense="none"),
                 artifact_dir=artifact_dir,
                 mutation=mutation,
             )
@@ -319,7 +329,9 @@ def cmd_fuzz(args) -> int:
         return status
 
     campaign = fuzz_campaign(cfg, args.seeds, base_seed=args.seed)
-    policy = ExecPolicy(jobs=_resolve_jobs(args), timeout_s=args.timeout_s)
+    policy = _checked(args, lambda: ExecPolicy(
+        jobs=_resolve_jobs(args), timeout_s=args.timeout_s
+    ))
     reporter = ProgressReporter(enabled=args.progress)
     result = run_campaign(campaign, policy, reporter=reporter)
     print(format_progress(result.metrics, label=campaign.name))
@@ -374,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker processes for trial fan-out (0 = all cores); "
             "results are identical for any value",
         )
+        p.set_defaults(parser=p)
 
     sub.add_parser("machines", help="list machine presets").set_defaults(
         fn=cmd_machines
@@ -444,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable the result journal for this run")
     p.add_argument("--progress", action="store_true",
                    help="stream live progress (trials/s, ETA) to stderr")
-    p.set_defaults(fn=cmd_campaign)
+    p.set_defaults(fn=cmd_campaign, parser=p)
 
     p = sub.add_parser(
         "fleet",
@@ -476,6 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="drain gracefully after N shards (ops/test knob)")
         fp.add_argument("--progress", action="store_true",
                         help="stream live progress (trials/s, ETA) to stderr")
+        fp.set_defaults(parser=fp)
 
     fp = fleet_sub.add_parser("submit", help="run a named campaign sharded")
     fp.add_argument("--name", default="noise-mc",
@@ -532,9 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", default="mix",
                    choices=sorted(NOISE_PRESETS) + ["mix"],
                    help="noise preset, or 'mix' to draw per trace")
-    p.add_argument("--partition", default="mix",
-                   choices=["never", "always", "mix"],
-                   help="way-partitioning defense in the trace grammar")
     p.add_argument("--defense", default="mix",
                    choices=["mix", "none", "way-partition", "ceaser",
                             "skew", "soft-copy"],
@@ -556,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-run a saved trace artifact across all tiers")
     p.add_argument("--progress", action="store_true",
                    help="stream live progress (trials/s, ETA) to stderr")
-    p.set_defaults(fn=cmd_fuzz)
+    p.set_defaults(fn=cmd_fuzz, parser=p)
     return parser
 
 

@@ -196,8 +196,3 @@ class EvictionTester:
             if self.test(target_va, vas):
                 positive += 1
         return positive * 2 > votes
-
-
-def deadline_exceeded(ctx: AttackerContext, deadline: int) -> bool:
-    """Whether the simulated clock has passed the construction deadline."""
-    return ctx.machine.now > deadline

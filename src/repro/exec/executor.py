@@ -76,15 +76,13 @@ class ExecPolicy:
     batch: int = 1
 
     def __post_init__(self) -> None:
+        if self.jobs is not None and self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
 
     def resolved_jobs(self) -> int:
-        if self.jobs is None:
-            return default_jobs()
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        return self.jobs
+        return default_jobs() if self.jobs is None else self.jobs
 
 
 def default_jobs() -> int:

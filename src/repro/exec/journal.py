@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterator, Optional, TextIO, Union
+from typing import Dict, Iterator, Optional, Sequence, TextIO, Union
 
 from .spec import Campaign, ResultCodec
 
@@ -102,17 +102,21 @@ def _foreign_header(line: bytes, fingerprint: str) -> bool:
     )
 
 
-def iter_trial_records(path: Path, fingerprint: str) -> Iterator[dict]:
-    """The trial records of one journal-format file, in file order.
+def iter_trial_records(
+    path: Path, fingerprint: str, seeds: Sequence[int]
+) -> Iterator[dict]:
+    """The valid finished-trial records of one journal-format file.
 
-    Skips blank and unparseable lines: a writer killed mid-append leaves
-    a torn line, and writers append to an existing file without
-    rewriting its header, so even a torn header must not make the file
-    unreadable.  Stops at a header that carries another fingerprint;
-    writers put the header first, so a foreign file yields nothing.
-    Callers validate each record against their campaign (status, index
-    range, seed).
+    Yields, in file order, the ``ok`` trial records whose ``index`` is an
+    int in ``range(len(seeds))`` and whose ``seed`` is ``seeds[index]``:
+    the records a resume may reuse.  Skips blank and unparseable lines: a
+    writer killed mid-append leaves a torn line, and writers append to an
+    existing file without rewriting its header, so even a torn header
+    must not make the file unreadable.  Stops at a header that carries
+    another fingerprint; writers put the header first, so a foreign file
+    yields nothing.
     """
+    n_trials = len(seeds)
     try:
         fh = open(path, "r", encoding="utf-8")
     except FileNotFoundError:
@@ -127,7 +131,14 @@ def iter_trial_records(path: Path, fingerprint: str) -> Iterator[dict]:
                 continue
             kind = obj.get("kind")
             if kind == "trial":
-                yield obj
+                index = obj.get("index")
+                if (
+                    obj.get("status") == "ok"
+                    and isinstance(index, int)
+                    and 0 <= index < n_trials
+                    and obj.get("seed") == seeds[index]
+                ):
+                    yield obj
             elif kind == "header" and obj.get("fingerprint") != fingerprint:
                 return
 
@@ -169,18 +180,13 @@ class CampaignJournal:
         can only happen through manual tampering, since the fingerprint is
         part of the filename.
         """
+        decode = self.campaign.codec.decode
         completed: Dict[int, dict] = {}
-        seeds = self.campaign.seeds
-        for obj in iter_trial_records(self.path, self.fingerprint):
-            if obj.get("status") != "ok":
-                continue
-            index = obj.get("index")
-            if not isinstance(index, int) or not 0 <= index < len(seeds):
-                continue
-            if obj.get("seed") != seeds[index]:
-                continue
-            obj["value"] = self.campaign.codec.decode(obj["value"])
-            completed[index] = obj
+        for obj in iter_trial_records(
+            self.path, self.fingerprint, self.campaign.seeds
+        ):
+            obj["value"] = decode(obj["value"])
+            completed[obj["index"]] = obj
         return completed
 
 

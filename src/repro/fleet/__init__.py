@@ -11,7 +11,8 @@ trials:
   threads, with per-shard backpressure, crash retry with backoff, and
   graceful drain;
 * :mod:`repro.fleet.store` — append-only per-shard JSONL segments plus a
-  compacted, journal-compatible index; constant-memory streaming reads;
+  compacted, journal-compatible file, and nothing else; constant-memory
+  streaming reads;
 * :mod:`repro.fleet.datacenter` — a simulated datacenter of
   :mod:`repro.cloud.faas` hosts with tenant churn and diurnal noise,
   making placement a first-class scheduling knob;

@@ -212,13 +212,24 @@ class FleetScheduler:
     # -- the service loop --------------------------------------------------
 
     def run(self, shards: Optional[Sequence[ShardSpec]] = None) -> FleetReport:
-        """Drive pending shards to completion (or drain) and report."""
+        """Drive incomplete shards to completion (or drain) and report.
+
+        One pass over the store plans the run: the shards it finds
+        incomplete, all of them or those in ``shards`` (a complete shard
+        there is skipped).
+        """
         policy = self.policy
         started_at = time.perf_counter()
-        if shards is None:
-            shards = self.store.pending_shards()
-        plan = order_shards(shards, self.priority)
-        already_done = self.store.completed_trials()
+        progress = self.store.progress()
+        wanted = None if shards is None else set(shards)
+        plan = order_shards(
+            [
+                shard for shard, p in zip(self.store.shards, progress)
+                if not p.complete and (wanted is None or shard in wanted)
+            ],
+            self.priority,
+        )
+        already_done = sum(p.done for p in progress)
 
         report = FleetReport(
             run_id=self.store.run_id,

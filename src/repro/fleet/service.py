@@ -240,7 +240,7 @@ def cmd_resume(args) -> int:
         print(f"run {store.run_id} already complete")
         return 0
     print(f"resuming {store.run_id}: {len(pending)} shards pending")
-    return _drive(campaign, meta["cli"], args, shards=pending)
+    return _drive(campaign, meta["cli"], args)
 
 
 def cmd_drain(args) -> int:
@@ -272,7 +272,7 @@ def cmd_status(args) -> int:
         if reopened is None:
             return 2
         campaign, meta, store = reopened
-        progress = store.progress(recount=True)
+        progress = store.progress()
         done = sum(p.done for p in progress)
         complete = sum(1 for p in progress if p.complete)
         print(f"run: {store.run_id}")

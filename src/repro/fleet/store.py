@@ -1,30 +1,35 @@
-"""Append-only fleet results store: per-shard segments + compacted index.
+"""Append-only fleet results store: per-shard segments + a compacted file.
 
 One fleet run = one directory keyed by the campaign fingerprint::
 
     <root>/<name>-<fp16>/
         meta.json            # campaign identity + how to rebuild it
-        index.json           # per-shard progress cache (rebuildable)
         compacted.jsonl      # complete shards, merged, index-sorted
         shards/shard-000000.jsonl   # live per-shard segments
 
-Segments and the compacted file use the *exact* line format of
+The store keeps nothing but the trial records: every count (progress,
+pending shards, completed trials) is one pass over them.  Segments and
+the compacted file use the *exact* line format of
 :mod:`repro.exec.journal` (a header record followed by one JSON trial
-record per line) and are read by its one reader,
+record per line) and are read by its one validating reader,
 :func:`~repro.exec.journal.iter_trial_records`; the compacted file of a
 finished run *is* a valid single-file campaign journal.  Writes are
 append-only and the durability unit is a small batch of trials
 (``flush_every``): a SIGKILL loses at most the unflushed tail of each
 in-flight shard, which resume simply re-runs.
 
-Reading is streaming: :meth:`FleetStore.iter_completed` walks shards in
-index order, holding at most one shard's records in memory at a time —
-that is what lets a million-trial campaign aggregate in constant RSS.
-A pass over every shard reads the index-sorted compacted file once,
-front to back, so it costs O(trials) however the trials are split
-between shards.  Readers take compacted records from the compacted file
-itself (checked against its header fingerprint), never from the index,
-so losing or corrupting ``index.json`` costs a rescan, never data.
+Reading is streaming: a pass walks shards in index order, holding at
+most one shard's records in memory at a time — that is what lets a
+million-trial campaign aggregate in constant RSS — and reads the
+index-sorted compacted file once, front to back, alongside them, so
+each record is parsed once per pass however the trials are split
+between shards.  A shard being run reads only its own segment:
+:meth:`FleetStore.compact` folds only complete shards and the scheduler
+runs only shards its planning pass found incomplete, so none of a
+running shard's records is in the compacted file.  (A shard that lost a
+compacted record, say to a corrupted line, is incomplete, and re-runs
+whole from an empty segment.)  An ``index.json`` left in a run
+directory by older versions of this store is neither read nor deleted.
 """
 
 from __future__ import annotations
@@ -88,12 +93,17 @@ class ShardJournal:
     # -- journal duck-type (local indices, used by run_campaign) ----------
 
     def load_completed(self) -> Dict[int, dict]:
-        """Finished trials of this shard, keyed by *local* index."""
+        """Finished trials of this shard's segment, keyed by *local* index.
+
+        The segment alone: the scheduler runs a shard only while it is
+        incomplete, and compaction folds only complete shards, so the
+        compacted file holds none of this shard's records.
+        """
+        decode = self.store.campaign.codec.decode
         completed: Dict[int, dict] = {}
-        for index, obj in self.store.load_shard_records(self.shard).items():
-            obj = dict(obj)
-            obj["value"] = self.store.campaign.codec.decode(obj["value"])
-            completed[index - self.shard.lo] = obj
+        for obj in self.store._segment_records(self.shard):
+            obj["value"] = decode(obj["value"])
+            completed[obj["index"] - self.shard.lo] = obj
         return completed
 
     def append(self, record) -> None:
@@ -138,7 +148,7 @@ class ShardJournal:
 
 @dataclasses.dataclass(frozen=True)
 class ShardProgress:
-    """One shard's durable progress, as the index records it."""
+    """One shard's durable progress, as a pass over the store counts it."""
 
     shard_id: int
     lo: int
@@ -158,7 +168,6 @@ class FleetStore:
     """The on-disk results store of one fleet campaign run."""
 
     META = "meta.json"
-    INDEX = "index.json"
     COMPACTED = "compacted.jsonl"
     SHARD_DIR = "shards"
 
@@ -213,154 +222,63 @@ class FleetStore:
             payload.update(extra)
         _atomic_write_json(self.run_dir / self.META, payload)
 
-    def read_meta(self) -> Optional[dict]:
-        path = self.run_dir / self.META
-        if not path.exists():
-            return None
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-
     # -- writing ----------------------------------------------------------
 
     def shard_journal(self, shard: ShardSpec, flush_every: int = 64) -> ShardJournal:
-        self._check_shard(shard)
-        return ShardJournal(self, shard, flush_every=flush_every)
-
-    def _check_shard(self, shard: ShardSpec) -> None:
         if shard.fingerprint != self.fingerprint:
             raise ValueError(
                 f"shard {shard.key} belongs to campaign "
                 f"{shard.fingerprint[:16]}, store holds {self.fingerprint[:16]}"
             )
+        return ShardJournal(self, shard, flush_every=flush_every)
 
-    # -- raw reading ------------------------------------------------------
-
-    def load_shard_records(self, shard: ShardSpec) -> Dict[int, dict]:
-        """Valid finished-trial records of one shard, by *global* index.
-
-        Reads the shard's slice of the compacted file and its live
-        segment.  Records are validated against the campaign (index
-        range, per-index seed) exactly like
-        ``CampaignJournal.load_completed``.  Reads of every shard walk
-        the compacted file once for all of them instead (see
-        :meth:`iter_completed`).
-        """
-        self._check_shard(shard)
-        records: Dict[int, dict] = {}
-        for obj in self._iter_compacted():
-            if obj["index"] >= shard.hi:
-                break
-            self._admit(records, obj, shard)
-        self._read_segment(shard, records)
-        return records
+    # -- reading ----------------------------------------------------------
 
     def _shard_records(self) -> Iterator[Tuple[ShardSpec, Dict[int, dict]]]:
-        """``(shard, load_shard_records(shard))`` for every shard, in order.
+        """``(shard, {global index: record})`` for every shard, in order.
 
         One pass: the index-sorted compacted file is read front to back
         alongside the shards (whose ranges are contiguous and ascending),
-        so each line is parsed once.
+        then each shard's live segment, so each line is parsed once.
         """
-        stream = self._iter_compacted()
+        stream = iter_trial_records(
+            self.run_dir / self.COMPACTED, self.fingerprint, self.campaign.seeds
+        )
         head = next(stream, None)
         for shard in self.shards:
             records: Dict[int, dict] = {}
             while head is not None and head["index"] < shard.hi:
-                self._admit(records, head, shard)
+                if shard.contains(head["index"]):
+                    records[head["index"]] = head
                 head = next(stream, None)
-            self._read_segment(shard, records)
+            for obj in self._segment_records(shard):
+                records[obj["index"]] = obj  # overrides a compacted copy
             yield shard, records
 
-    def _read_segment(self, shard: ShardSpec, records: Dict[int, dict]) -> None:
-        """Admit the shard's live segment records (they override compacted)."""
-        for obj in iter_trial_records(self.segment_path(shard), self.fingerprint):
-            self._admit(records, obj, shard)
-
-    def _admit(self, records: Dict[int, dict], obj: dict, shard: ShardSpec) -> None:
-        """Validate one trial record and add it to the shard's map."""
-        if obj.get("status") != "ok":
-            return
-        index = obj.get("index")
-        if not isinstance(index, int) or not shard.contains(index):
-            return
-        if obj.get("seed") != self.campaign.seeds[index]:
-            return
-        records[index] = obj
-
-    def _iter_compacted(self) -> Iterator[dict]:
-        """The compacted file's trial records, in file (= index) order."""
-        path = self.run_dir / self.COMPACTED
-        for obj in iter_trial_records(path, self.fingerprint):
-            if isinstance(obj.get("index"), int):
+    def _segment_records(self, shard: ShardSpec) -> Iterator[dict]:
+        """The valid records of the shard's live segment in its range."""
+        for obj in iter_trial_records(
+            self.segment_path(shard), self.fingerprint, self.campaign.seeds
+        ):
+            if shard.contains(obj["index"]):
                 yield obj
 
-    # -- progress index ---------------------------------------------------
-
-    def _load_index(self) -> dict:
-        path = self.run_dir / self.INDEX
-        if not path.exists():
-            return {}
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                index = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return {}
-        if index.get("fingerprint") != self.fingerprint:
-            return {}
-        return index
-
-    def _write_index(self, done: Dict[int, int]) -> dict:
-        """Persist the index cache: per-shard finished-trial counts."""
-        payload = {
-            "kind": "fleet-index",
-            "fingerprint": self.fingerprint,
-            "shard_size": self.shard_size,
-            "shards": {
-                str(shard.shard_id): {
-                    "lo": shard.lo,
-                    "hi": shard.hi,
-                    "done": done[shard.shard_id],
-                }
-                for shard in self.shards
-            },
-        }
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write_json(self.run_dir / self.INDEX, payload)
-        return payload
-
-    def refresh_index(self) -> dict:
-        """Recount every shard from disk and rewrite the index cache.
-
-        The index is purely derived state — losing or corrupting it
-        costs a rescan, never data.
-        """
-        done = {
-            shard.shard_id: len(records)
+    def progress(self) -> List[ShardProgress]:
+        """Per-shard durable progress: one pass over the store."""
+        return [
+            ShardProgress(shard.shard_id, shard.lo, shard.hi, len(records))
             for shard, records in self._shard_records()
-        }
-        return self._write_index(done)
+        ]
 
-    def progress(self, recount: bool = False) -> List[ShardProgress]:
-        """Per-shard progress, from the index cache or a fresh recount."""
-        index = {} if recount else self._load_index()
-        if not index:
-            index = self.refresh_index()
-        out = []
-        for shard in self.shards:
-            entry = index.get("shards", {}).get(str(shard.shard_id))
-            done = entry["done"] if entry else 0
-            out.append(
-                ShardProgress(shard.shard_id, shard.lo, shard.hi, done)
-            )
-        return out
-
-    def pending_shards(self, recount: bool = True) -> List[ShardSpec]:
+    def pending_shards(self) -> List[ShardSpec]:
         """Shards with unfinished trials (what submit/resume must run)."""
-        by_id = {p.shard_id: p for p in self.progress(recount=recount)}
-        return [s for s in self.shards if not by_id[s.shard_id].complete]
+        return [
+            shard for shard, p in zip(self.shards, self.progress())
+            if not p.complete
+        ]
 
     def completed_trials(self) -> int:
-        return sum(p.done for p in self.progress(recount=True))
+        return sum(p.done for p in self.progress())
 
     # -- streaming read path ----------------------------------------------
 
@@ -386,36 +304,30 @@ class FleetStore:
     def compact(self) -> Path:
         """Fold every complete shard into the sorted compacted file.
 
-        Streams shard-by-shard into a temp file and atomically replaces
-        ``compacted.jsonl``, then updates the index and deletes the
-        folded segments.  The result (plus live segments) is
+        One pass over the store streams shard-by-shard into a temp file
+        that atomically replaces ``compacted.jsonl``; then the folded
+        segments are deleted.  The result (plus live segments) is
         bit-equivalent to the pre-compaction state for every reader; for
         a fully complete run it is a valid single-file campaign journal.
-        One pass over the store recounts every shard and folds the
-        complete ones.
+        A kill between the replace and the deletes leaves both copies,
+        and readers count each trial once.
         """
         self.run_dir.mkdir(parents=True, exist_ok=True)
         target = self.run_dir / self.COMPACTED
         tmp = target.with_suffix(".tmp")
         header = journal_header(self.campaign, self.fingerprint)
-        done: Dict[int, int] = {}
-        folded: List[int] = []
+        folded: List[ShardSpec] = []
         with open(tmp, "w", encoding="utf-8") as out:
             out.write(encode_line(header) + "\n")
             for shard, records in self._shard_records():
-                done[shard.shard_id] = len(records)
                 if len(records) < shard.n_trials:
                     continue
                 for index in sorted(records):
                     out.write(encode_line(records[index]) + "\n")
-                folded.append(shard.shard_id)
+                folded.append(shard)
             out.flush()
             os.fsync(out.fileno())
         os.replace(tmp, target)
-        self._write_index(done)
-        for shard in self.shards:
-            if shard.shard_id in folded:
-                path = self.segment_path(shard)
-                if path.exists():
-                    path.unlink()
+        for shard in folded:
+            self.segment_path(shard).unlink(missing_ok=True)
         return target

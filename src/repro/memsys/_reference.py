@@ -76,10 +76,6 @@ class ReferenceSetAssociativeCache:
             self._sets[set_idx] = cset
         return cset
 
-    def get_set(self, set_idx: int) -> _CacheSet:
-        """The set object (materializing it if needed); used by noise hooks."""
-        return self._set(set_idx)
-
     # -- Noise reconciliation clock ---------------------------------------
 
     def noise_clock(self, set_idx: int) -> int:

@@ -65,11 +65,6 @@ class AddressSpace:
         self._used_frames = used_frames if used_frames is not None else set()
         self._next_vpn = va_base >> PAGE_BITS
 
-    @property
-    def mapped_pages(self) -> int:
-        """Number of virtual pages currently mapped."""
-        return len(self._page_table)
-
     def alloc_pages(self, count: int) -> List[int]:
         """Map ``count`` fresh virtual pages; returns their VA bases.
 

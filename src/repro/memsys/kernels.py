@@ -207,11 +207,6 @@ class TranslationPlane:
         self._geo.clear()
         self._memo.clear()
 
-    @property
-    def cached_addresses(self) -> int:
-        return len(self._geo)
-
-
 
 # -- The cascade, described once -------------------------------------------
 #

@@ -25,7 +25,7 @@ from repro.check import (
 from repro.errors import ReproError
 from repro.exec import ExecPolicy, run_campaign
 
-QUIET = FuzzConfig(machine="tiny", noise="none", partition="never", n_ops=8)
+QUIET = FuzzConfig(machine="tiny", noise="none", defense="none", n_ops=8)
 
 
 class TestGenerateTrace:
@@ -40,7 +40,11 @@ class TestGenerateTrace:
         assert json.loads(json.dumps(trace)) == trace
 
     def test_partition_always_includes_partition_spec(self):
-        cfg = FuzzConfig(machine="tiny", noise="none", partition="always", n_ops=6)
+        """The way-partition defense always carries a partition spec that
+        names the attacker's snoop-filter domain."""
+        cfg = FuzzConfig(
+            machine="tiny", noise="none", defense="way-partition", n_ops=6
+        )
         trace = generate_trace(cfg, 0)
         assert trace["partition"] is not None
         assert "att" in trace["partition"]["sf"]
@@ -54,8 +58,7 @@ class TestGenerateTrace:
         cfg = FuzzConfig(machine="tiny", noise="none", n_ops=8)  # full mix
         assert generate_trace(cfg, 11) == generate_trace(cfg, 11)
 
-    def test_partition_never_means_undefended(self):
-        """The legacy knob keeps its exact pre-axis meaning."""
+    def test_defense_none_means_undefended(self):
         trace = generate_trace(QUIET, 3)
         assert trace["partition"] is None
         assert trace["defense"] is None
@@ -171,7 +174,8 @@ class TestFuzzSmoke:
     @pytest.mark.parametrize("seed", range(3))
     def test_noisy_partitioned_seeds_agree(self, seed):
         cfg = FuzzConfig(
-            machine="tiny", noise="cloud-quiet", partition="always", n_ops=8
+            machine="tiny", noise="cloud-quiet", defense="way-partition",
+            n_ops=8,
         )
         result = run_tiers(generate_trace(cfg, seed))
         assert result["ok"], result

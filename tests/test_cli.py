@@ -150,13 +150,37 @@ class TestCommands:
         assert "cached" not in out  # mismatched journal is ignored wholesale
 
 
+class TestPolicyFlags:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fleet", "submit", "--shard-retries", "-1"],
+             "shard_retries must be >= 0"),
+            (["fleet", "submit", "--max-inflight", "0"],
+             "max_inflight must be >= 1"),
+            (["campaign", "--batch", "0"], "batch must be >= 1"),
+            (["campaign", "--jobs", "-2"], "jobs must be >= 1"),
+        ],
+    )
+    def test_bad_value_is_a_usage_error(self, capsys, tmp_path, argv, message):
+        dirs = {"fleet": "--fleet-dir", "campaign": "--journal-dir"}
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [dirs[argv[0]], str(tmp_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro " + argv[0])
+        assert f"error: {message}" in err
+        assert not any(tmp_path.iterdir())  # rejected before any work
+
+
 class TestFuzzCommand:
     def test_fuzz_defaults(self):
         args = build_parser().parse_args(["fuzz"])
         assert args.seeds == 50
         assert args.machine == "tiny"
         assert args.noise == "mix"
-        assert args.partition == "mix"
+        assert args.defense == "mix"
+        assert not hasattr(args, "partition")
 
     def test_fuzz_rejects_unknown_machine(self):
         with pytest.raises(SystemExit):
@@ -166,14 +190,14 @@ class TestFuzzCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fuzz", "--noise", "hurricane"])
 
-    def test_fuzz_rejects_unknown_partition_policy(self):
+    def test_fuzz_rejects_unknown_defense(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["fuzz", "--partition", "sometimes"])
+            build_parser().parse_args(["fuzz", "--defense", "sometimes"])
 
     @pytest.mark.slow
     def test_fuzz_smoke_run(self, capsys, tmp_path):
         rc = main([
-            "fuzz", "--seeds", "4", "--noise", "none", "--partition", "never",
+            "fuzz", "--seeds", "4", "--noise", "none", "--defense", "none",
             "--artifact-dir", str(tmp_path),
         ])
         out = capsys.readouterr().out
@@ -184,7 +208,7 @@ class TestFuzzCommand:
     def test_fuzz_replay_round_trip(self, capsys, tmp_path):
         from repro.check import FuzzConfig, generate_trace, write_artifact
 
-        cfg = FuzzConfig(machine="tiny", noise="none", partition="never", n_ops=6)
+        cfg = FuzzConfig(machine="tiny", noise="none", defense="none", n_ops=6)
         path = write_artifact(
             tmp_path / "trace.json", generate_trace(cfg, 2), {}
         )

@@ -14,6 +14,7 @@ from repro.exec import (
     ExecPolicy,
     run_campaign,
 )
+from repro.exec.journal import iter_trial_records
 
 
 def counted_trial(cfg, seed):
@@ -195,3 +196,35 @@ class TestCrashSafety:
         assert [completed[i]["value"] for i in sorted(completed)] == [
             s * 3 + 1 for s in campaign.seeds
         ]
+
+
+class TestReader:
+    SEEDS = (11, 22, 33)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            {"status": "failed"},
+            {"index": "1"},
+            {"index": 1.0},
+            {"index": 3},
+            {"index": -1, "seed": 33},
+            {"seed": 23},
+        ],
+        ids=["not-ok", "str-index", "float-index", "index-past-end",
+             "negative-index", "wrong-seed"],
+    )
+    def test_invalid_record_is_dropped(self, tmp_path, damage):
+        records = [
+            {"kind": "trial", "index": i, "seed": seed, "status": "ok",
+             "value": i}
+            for i, seed in enumerate(self.SEEDS)
+        ]
+        records[1].update(damage)
+        path = tmp_path / "j.jsonl"
+        path.write_text("".join(
+            json.dumps(obj) + "\n"
+            for obj in [{"kind": "header", "fingerprint": "fp"}] + records
+        ))
+        kept = iter_trial_records(path, "fp", self.SEEDS)
+        assert [obj["index"] for obj in kept] == [0, 2]

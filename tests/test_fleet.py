@@ -20,8 +20,8 @@ from pathlib import Path
 
 import pytest
 
+import repro.exec.journal as journal_mod
 import repro.fleet.scheduler as scheduler_mod
-import repro.fleet.store as store_mod
 from repro.analysis.streaming import (
     CampaignAggregate,
     StreamingMoments,
@@ -71,6 +71,23 @@ def dying_trial(cfg, seed):
 
 def _serial_values(campaign):
     return run_campaign(campaign, ExecPolicy(jobs=1)).raise_on_failure().values()
+
+
+def _count_loads(monkeypatch):
+    """A list that grows by one per ``json.loads`` call from here on.
+
+    Patches the ``json`` module that ``repro.exec.journal`` (every
+    journal-format read) and ``repro.fleet.store`` share.
+    """
+    calls = []
+    loads = json.loads
+
+    def counting_loads(*args, **kwargs):
+        calls.append(1)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(journal_mod.json, "loads", counting_loads)
+    return calls
 
 
 class TestSharding:
@@ -191,14 +208,7 @@ class TestStoreAndResume:
         assert store.completed_trials() == 120
         # A compacted store reads in one pass: each compacted line is
         # parsed once, not once per shard.
-        calls = []
-        loads = json.loads
-
-        def counting_loads(*args, **kwargs):
-            calls.append(1)
-            return loads(*args, **kwargs)
-
-        monkeypatch.setattr(store_mod.json, "loads", counting_loads)
+        calls = _count_loads(monkeypatch)
         bound = len(campaign) + len(store.shards) + 2
         for read in (lambda: dict(store.iter_completed()) == before,
                      lambda: store.completed_trials() == 120):
@@ -210,29 +220,47 @@ class TestStoreAndResume:
         store.compact()
         assert dict(store.iter_completed()) == before
 
-    @pytest.mark.parametrize("damage", ["deleted", "garbage"])
+    @pytest.mark.parametrize("damage", ["deleted", "garbage", "stale"])
     def test_compacted_trials_survive_a_lost_index(self, tmp_path, damage):
-        """index.json is a cache: losing it after compaction must cost a
-        rescan, never the compacted trials."""
+        """A run directory written by an older store may hold an
+        ``index.json`` (a per-shard count cache this store does not
+        keep): none, garbage, or one whose counts are wrong.  Nothing
+        reads or deletes it; the store counts, reads, resumes and
+        compacts to the serial values."""
         campaign = _campaign(trials=40)
-        _, store = run_fleet(campaign, tmp_path, FleetPolicy(shard_size=10))
-        before = dict(store.iter_completed())
+        _, store = run_fleet(
+            campaign, tmp_path,
+            FleetPolicy(shard_size=10, max_inflight=1, stop_after_shards=2),
+        )
         store.compact()
-        index = store.run_dir / store.INDEX
+        before = dict(store.iter_completed())
+        assert len(before) == 20
+        index = store.run_dir / "index.json"
+        if damage == "garbage":
+            index.write_text("{not json")
+        elif damage == "stale":  # claims every shard complete
+            index.write_text(json.dumps({
+                "kind": "fleet-index",
+                "fingerprint": store.fingerprint,
+                "shard_size": 10,
+                "shards": {
+                    str(s.shard_id): {"lo": s.lo, "hi": s.hi, "done": 10}
+                    for s in store.shards
+                },
+            }))
+        left = index.read_text() if index.exists() else None
         for _ in range(2):
-            if damage == "deleted":
-                index.unlink()
-            else:
-                index.write_text("{not json")
-            assert store.completed_trials() == 40
-            assert store.pending_shards() == []
+            assert store.completed_trials() == 20
+            assert store.pending_shards() == store.shards[2:]
             assert dict(store.iter_completed()) == before
-            assert [v for _, v in store.iter_values()] == \
-                _serial_values(campaign)
-            # Compacting again keeps every trial (the second pass of the
-            # loop damages the index this compaction rewrote).
-            store.compact()
-            assert dict(store.iter_completed()) == before
+            store.compact()  # compacting again keeps every trial
+        report, store = run_fleet(campaign, tmp_path, FleetPolicy(shard_size=10))
+        assert report.complete and report.shards_executed == 2
+        store.compact()
+        assert store.completed_trials() == 40
+        assert store.pending_shards() == []
+        assert [v for _, v in store.iter_values()] == _serial_values(campaign)
+        assert (index.read_text() if index.exists() else None) == left
 
     def test_compacted_file_of_another_campaign_is_ignored(self, tmp_path):
         campaign = _campaign(trials=40)
@@ -333,6 +361,35 @@ class TestStoreAndResume:
         store.compact()
         assert not any(store.segment_path(s).exists() for s in store.shards)
         assert [v for _, v in store.iter_values()] == _serial_values(campaign)
+
+    def test_resume_parses_each_record_once_per_pass(
+        self, tmp_path, monkeypatch
+    ):
+        """A resume plans from one pass and a dispatched shard reads only
+        its own segment, never the compacted file's prefix."""
+        campaign = _campaign(trials=400)
+        _, store = run_fleet(
+            campaign, tmp_path,
+            FleetPolicy(shard_size=10, max_inflight=1, stop_after_shards=20),
+        )
+        store.compact()
+        assert store.completed_trials() == 200
+        calls = _count_loads(monkeypatch)
+        report, store = run_fleet(campaign, tmp_path, FleetPolicy(shard_size=10))
+        monkeypatch.undo()
+        assert report.complete and report.shards_executed == 20
+        assert 0 < len(calls) <= 2 * len(campaign) + 4 * len(store.shards)
+        assert [v for _, v in store.iter_values()] == _serial_values(campaign)
+
+    def test_complete_store_run_is_two_passes(self, tmp_path, monkeypatch):
+        campaign = _campaign(trials=400)
+        _, store = run_fleet(campaign, tmp_path, FleetPolicy(shard_size=10))
+        store.compact()
+        calls = _count_loads(monkeypatch)
+        report, store = run_fleet(campaign, tmp_path, FleetPolicy(shard_size=10))
+        monkeypatch.undo()
+        assert report.complete and report.shards_executed == 0
+        assert 0 < len(calls) <= 2 * (len(campaign) + len(store.shards) + 2)
 
     def test_store_rejects_foreign_shard(self, tmp_path):
         campaign = _campaign(trials=60, seed=1)
@@ -659,6 +716,49 @@ class TestServiceCLI:
                         "--fleet-dir", fleet_dir, cwd=tmp_path)
         assert r.returncode == 0, r.stderr
         assert "verified: fleet aggregates == serial" in r.stdout
+
+    def test_drain_status_resume_on_a_partly_compacted_store(self, tmp_path):
+        """``drain`` compacts a drained run, so ``resume`` and ``aggregate``
+        read a partly compacted store; ``status`` prints the store's own
+        count, and the finished run directory holds only the records."""
+        fleet_dir = tmp_path / "fleet"
+        flags = ("--fleet-dir", str(fleet_dir))
+        r = self._repro(
+            "fleet", "submit", "--name", "noise-mc", "--trials", "600",
+            "--shard-size", "64", "--stop-after-shards", "2", *flags,
+            cwd=tmp_path,
+        )
+        assert r.returncode == 0, r.stderr
+        assert "[drained]" in r.stdout
+        r = self._repro("fleet", "drain", "noise-mc", *flags, cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert "drained noise-mc" in r.stdout
+        (run_dir,) = fleet_dir.iterdir()
+        assert (run_dir / FleetStore.COMPACTED).exists()
+        meta = json.loads((run_dir / FleetStore.META).read_text())
+        store = FleetStore(
+            fleet_dir, build_campaign(meta["cli"]), meta["shard_size"]
+        )
+        progress = store.progress()
+        done = sum(p.done for p in progress)
+        complete = sum(p.complete for p in progress)
+        assert 0 < done < 600 and 0 < complete < len(progress)
+        r = self._repro("fleet", "status", run_dir.name, *flags, cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        lines = r.stdout.splitlines()
+        assert f"trials: {done}/600" in lines
+        assert f"shards: {complete}/{len(progress)} complete" in lines
+        r = self._repro("fleet", "resume", "noise-mc", *flags, cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert "[complete]" in r.stdout
+        r = self._repro("fleet", "aggregate", "noise-mc", "--verify-serial",
+                        *flags, cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert "verified: fleet aggregates == serial" in r.stdout
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            FleetStore.COMPACTED, FleetStore.META, FleetStore.SHARD_DIR,
+        ]
+        assert not list((run_dir / FleetStore.SHARD_DIR).iterdir())
 
     @pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
     def test_signal_drains_gracefully(self, tmp_path, signame):
