@@ -53,20 +53,20 @@ def plane_digest(machine) -> str:
 
     Folds in, for every structure (way partitions expanded): the tag and
     owner planes, the flat policy-state plane, per-set occupancy, per-set
-    noise clocks, and — crucially — the ``_where`` tag index, so an index
-    left stale by a checkpoint restore diverges here even when the planes
-    themselves agree.  Each flat cache also contributes what the fused
-    kernels accumulate in locals and fold once per call: its touched-set
-    bytemap and count, its policy-operation counters, and an LRU table's
-    stamp counters.  The reference oracle contributes its per-set tags,
+    noise clocks, and — crucially — the ``_where`` tag index, so a stale
+    index entry diverges here even when the planes themselves agree.
+    Each flat cache also contributes what the fused kernels accumulate in
+    locals and fold once per call: its touched-set bytemap and count, its
+    policy-operation counters, and an LRU table's stamp counters.  The
+    reference oracle contributes its per-set tags,
     owners, noise clocks and policy-operation counters; the machine, its
     batch counters and the hierarchy's next noise tag.
 
     Unlike :func:`machine_digest`, this shape is *not* golden-pinned; it
-    serves the snapshot round-trip suites and
-    :func:`assert_digest_memo_blind`.  Like every digest it is blind to
-    accelerator caches (translation memos, monitor-round recordings):
-    those are derived state, never observable.
+    serves the fuzz verdict (batched vs. kernels tier), the parity
+    suites and :func:`assert_digest_memo_blind`.  Like every digest it is
+    blind to accelerator caches (translation memos, monitor-round
+    recordings): those are derived state, never observable.
     """
     from ..memsys._reference import ReferenceSetAssociativeCache
     from ..memsys.cache import SetAssociativeCache
@@ -108,7 +108,7 @@ def plane_digest(machine) -> str:
     # Composite wrappers (randomized indexes, partitions) may carry
     # state beyond their inner planes — residency maps, rekey epochs,
     # auto-rekey counters — published via ``snapshot_extra()``; fold it
-    # in so a restore that left a wrapper map stale diverges here.
+    # in so a stale wrapper map diverges here.
     hier = machine.hierarchy
     planes.append(["machine", machine.batch_calls, machine.batch_lines,
                    hier._noise_tag_next])
@@ -130,29 +130,25 @@ def sorted_extra(extra: Dict[str, Any]) -> List[Any]:
 
 
 def assert_digest_memo_blind(machine, ctx=None) -> None:
-    """Assert no memo/snapshot cache leaks into the state digests.
+    """Assert no accelerator cache leaks into the state digests.
 
-    Takes a throwaway :func:`repro.memsys.snapshot.checkpoint` and drops
-    every accelerator cache reachable from ``ctx`` (translation memos and
-    monitor-round recordings, via ``invalidate_translations``), then
-    asserts that neither :func:`machine_digest` nor :func:`plane_digest`
-    moved.  The golden fingerprints depend on this blindness: a digest
-    that folded in warm-up state would differ between a cold and a
-    memo-warm run of the same trial.  Raises :class:`AssertionError`
-    naming the leaked paths.
+    Drops every accelerator cache reachable from ``ctx`` (translation
+    memos and monitor-round recordings, via ``invalidate_translations``),
+    then asserts that neither :func:`machine_digest` nor
+    :func:`plane_digest` moved.  The golden fingerprints depend on this
+    blindness: a digest that folded in warm-up state would differ between
+    a cold and a memo-warm run of the same trial.  Raises
+    :class:`AssertionError` naming the leaked paths.
     """
-    from ..memsys.snapshot import checkpoint
-
     before = [machine_digest(machine), plane_digest(machine)]
-    checkpoint(machine, label="digest-blindness-probe")
     if ctx is not None:
         ctx.invalidate_translations()
     after = [machine_digest(machine), plane_digest(machine)]
     delta = diff_keys(before, after)
     if delta:
         raise AssertionError(
-            f"digest is not memo-blind: {delta[:4]} moved after a "
-            "checkpoint + accelerator-cache clear"
+            f"digest is not memo-blind: {delta[:4]} moved after an "
+            "accelerator-cache clear"
         )
 
 

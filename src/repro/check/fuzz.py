@@ -11,8 +11,8 @@ The parity suites pin a handful of hand-picked scenarios; this module
    operation schedule (calibrate, candidate building, ``TestEviction``
    batteries, prime+probe monitoring, cross-core victim stores, flushes,
    address-space churn, defense setup (way partition / randomized index /
-   soft copy, with epoch-rekey ops), machine checkpoint/restore
-   via :mod:`repro.memsys.snapshot`) over a small machine.
+   soft copy, with epoch-rekey ops), mid-trace machine digests) over a
+   small machine.
 2. :func:`run_trace` replays the trace on one tier — the tier guards are
    the product ones (``kernels_disabled()`` / the reference-cache class
    swap) — recording every op's observable result plus the final machine
@@ -37,7 +37,7 @@ import dataclasses
 import json
 import random
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..config import MACHINE_PRESETS, NOISE_PRESETS
 from ..core.context import AttackerContext
@@ -51,12 +51,18 @@ from ..errors import ReproError
 from ..exec import Campaign, arithmetic_seeds
 from ..memsys import kernels_disabled
 from ..memsys.machine import Machine
-from ..memsys.snapshot import checkpoint, checkpoint_key, restore
 from .digest import diff_keys, machine_digest, obj_digest, plane_digest
 from .invariants import InvariantChecker, InvariantViolation, invariant_hook
 
 #: The three execution tiers, in oracle order (index 0 is the reference).
 TIERS = ("reference", "batched", "kernels")
+
+#: The trace grammar: every op :func:`run_trace` replays.
+OPS = (
+    "calibrate", "pool", "candidates", "test", "test_many", "probe",
+    "chase", "flush", "flush_all", "churn", "advance", "victim", "monitor",
+    "digest", "rekey",
+)
 
 #: Where the CLI drops shrunk diverging-trace artifacts.
 DEFAULT_ARTIFACT_DIR = Path(".repro") / "fuzz"
@@ -143,7 +149,6 @@ def generate_trace(cfg: FuzzConfig, seed: int) -> Dict[str, Any]:
             defense["n_skews"] = 2
     ops: List[List[Any]] = [["calibrate"]]
     pools: List[int] = []  # symbolic pool sizes, mirrored by the replayer
-    snaps = 0  # checkpoints taken so far, mirrored by the replayer's stack
 
     def _pool_pick() -> int:
         return rng.randrange(len(pools))
@@ -152,7 +157,7 @@ def generate_trace(cfg: FuzzConfig, seed: int) -> Dict[str, Any]:
     pools.append(ops[-1][2])
     choices = (
         "pool candidates test test test_many probe probe chase flush "
-        "flush_all churn advance victim monitor snapshot restore"
+        "flush_all churn advance victim monitor digest"
     ).split()
     if defense_kind in ("ceaser", "skew"):
         choices += ["rekey", "rekey"]
@@ -232,15 +237,8 @@ def generate_trace(cfg: FuzzConfig, seed: int) -> Dict[str, Any]:
                 rng.randint(3, pools[i] - 1),
                 rng.randint(20_000, 60_000),
             ])
-        elif kind == "snapshot":
-            ops.append(["snapshot"])
-            snaps += 1
-        elif kind == "restore":
-            if not snaps:
-                continue
-            ops.append(["restore", rng.randrange(snaps)])
-        elif kind == "rekey":
-            ops.append(["rekey"])
+        elif kind in ("digest", "rekey"):
+            ops.append([kind])
     return {
         "machine": cfg.machine,
         "noise": noise,
@@ -315,16 +313,8 @@ def _build_machine(trace: Dict[str, Any], tier: str) -> Machine:
 # --- Trace replay -----------------------------------------------------------
 
 
-def _levels_digest(levels: Sequence[Any]) -> str:
-    return obj_digest([int(level) for level in levels])
-
-
 def _run_op(
-    machine: Machine,
-    ctx: AttackerContext,
-    pools: List[List[int]],
-    cps: List[Any],
-    op: List,
+    machine: Machine, ctx: AttackerContext, pools: List[List[int]], op: List
 ) -> Any:
     kind = op[0]
     hier = machine.hierarchy
@@ -361,10 +351,8 @@ def _run_op(
     if kind == "probe":
         _, i, n, write = op
         lines = ctx.lines(pools[i][:n])
-        levels = machine.access_batch(
-            ctx.main_core, lines, write=bool(write)
-        )
-        return _levels_digest(levels)
+        # The batch's elapsed cycles.
+        return machine.access_batch(ctx.main_core, lines, write=bool(write))
     if kind == "chase":
         _, i, n, shared = op
         lines = ctx.lines(pools[i][:n])
@@ -396,25 +384,10 @@ def _run_op(
             )
         machine.run_until(start + count * interval + 1_000)
         return machine.now
-    if kind == "snapshot":
-        # Exact machine checkpoint (DESIGN.md §2.8).  The recorded key
-        # folds in the full machine digest, so a tier whose state drifted
-        # by checkpoint time diverges right here, not ops later.
-        cp = checkpoint(machine, label=f"fuzz-{len(cps)}")
-        cps.append(cp)
-        return checkpoint_key(cp)
-    if kind == "restore":
-        # Digest-verified rewind to an earlier checkpoint.  Machine-only
-        # by design: attacker-context state (thresholds, pools, page
-        # tables) deliberately survives, so post-restore ops exercise
-        # stale-translation and frame-aliasing paths identically on every
-        # tier.  Shrinking can strip the snapshot an op targeted; an empty
-        # stack replays as a deterministic no-op marker.
-        if not cps:
-            return "restore:none"
-        cp = cps[op[1] % len(cps)]
-        restore(machine, cp)
-        return checkpoint_key(cp)
+    if kind == "digest":
+        # The machine digest mid-trace, so a tier whose state drifted
+        # diverges right here, not ops later.
+        return obj_digest(machine_digest(machine))
     if kind == "rekey":
         # Epoch turn on every randomized shared cache (duck-probed, so a
         # shrunk trace that lost its defense replays as a no-op marker).
@@ -438,7 +411,6 @@ def _run_op(
             trace.probe_latencies,
             trace.prime_latencies,
         ])
-    raise ReproError(f"unknown fuzz op {kind!r}")
 
 
 def run_trace(
@@ -449,13 +421,21 @@ def run_trace(
     Op-level exceptions are recorded as ``["err", type, message]`` rows
     (they must be identical across tiers — a one-tier-only failure shows
     up as a divergence); an :class:`InvariantViolation` aborts the replay
-    since the state can no longer be trusted.
+    since the state can no longer be trusted.  An op outside the grammar
+    (:data:`OPS`) raises :class:`ReproError` before a machine is built:
+    recorded as an op failure it would be equal on every tier, so the
+    verdict would pass a trace that replays nothing.
     """
+    unknown = sorted({op[0] for op in trace["ops"]} - set(OPS))
+    if unknown:
+        raise ReproError(
+            f"unknown fuzz op(s) {', '.join(map(repr, unknown))}; "
+            f"the grammar has {', '.join(OPS)}"
+        )
     with _tier_guard(tier):
         machine = _build_machine(trace, tier)
         ctx = AttackerContext(machine, seed=trace["ctx_seed"])
         pools: List[List[int]] = []
-        cps: List[Any] = []  # checkpoint stack, indexed by restore ops
         records: List[Any] = []
         violation: Optional[str] = None
         checker = InvariantChecker(machine.hierarchy)
@@ -467,7 +447,7 @@ def run_trace(
         with hook:
             for op in trace["ops"]:
                 try:
-                    records.append(_run_op(machine, ctx, pools, cps, op))
+                    records.append(_run_op(machine, ctx, pools, op))
                 except InvariantViolation as exc:
                     violation = str(exc)
                     break
@@ -477,11 +457,6 @@ def run_trace(
                     # tiers; recording them makes a one-tier-only failure
                     # show up as an ordinary divergence.
                     records.append(["err", type(exc).__name__, str(exc)])
-                if op[0] == "restore":
-                    # A rewind legally runs noise clocks backwards; drop
-                    # the monotonicity baseline so the next check starts
-                    # from the restored state.
-                    checker.reset_clocks()
                 if check_invariants:
                     try:
                         checker.check()
@@ -500,13 +475,6 @@ def run_trace(
         "planes": plane_digest(machine),
         "violation": violation,
         "checks": checker.checks,
-        # Keys of every checkpoint taken (artifacts persist these, so a
-        # cross-tier diff pins state at snapshot time).
-        "checkpoints": [
-            rec
-            for taken, rec in zip(trace["ops"], records)
-            if taken[0] == "snapshot" and isinstance(rec, str)
-        ],
     }
 
 
@@ -543,7 +511,6 @@ def run_tiers(
     return {
         "ops": len(trace["ops"]),
         "checks": reference["checks"],
-        "checkpoints": reference["checkpoints"],
         "divergent": sorted(diffs),
         "diffs": diffs,
         "violations": violations,

@@ -337,15 +337,6 @@ class InvariantChecker:
                     f"LLC-shared ({len(shared)} line(s) total)"
                 )
 
-    def reset_clocks(self) -> None:
-        """Forget remembered noise clocks (call after a checkpoint restore).
-
-        A :func:`repro.memsys.snapshot.restore` legally rewinds per-set
-        noise clocks to their checkpointed values; without this reset the
-        monotonicity check would misreport the rewind as a violation.
-        """
-        self._clocks.clear()
-
     def _check_clocks(self, label: str, cache) -> None:
         current = _cache_clocks(cache)
         previous = self._clocks.get(label)

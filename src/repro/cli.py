@@ -252,12 +252,17 @@ def cmd_campaign(args) -> int:
     return 0 if result.ok else 1
 
 
+#: The fleet verbs that run shards; only they take the scheduling flags.
+FLEET_SHARD_VERBS = ("submit", "resume", "drain")
+
+
 def cmd_fleet(args) -> int:
     """Fleet service verbs (sharded, resumable campaign runs)."""
     # lazy: keep base CLI light
     from .fleet.service import FLEET_VERBS, policy_from_args
 
-    _checked(args, lambda: policy_from_args(args))
+    if args.verb in FLEET_SHARD_VERBS:
+        args.policy = _checked(args, lambda: policy_from_args(args))
     return FLEET_VERBS[args.verb](args)
 
 
@@ -466,11 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_sub = p.add_subparsers(dest="verb", required=True)
 
-    def fleet_common(fp):
+    def fleet_verb(verb, help_text):
+        fp = fleet_sub.add_parser(verb, help=help_text)
         fp.add_argument("--fleet-dir", default=str(DEFAULT_FLEET_DIR),
                         help="root directory for fleet run state")
-        fp.add_argument("--shard-size", type=int, default=256,
-                        help="trials per shard (the dispatch/resume unit)")
+        fp.set_defaults(fn=cmd_fleet, parser=fp)
+        if verb not in FLEET_SHARD_VERBS:
+            return fp
         fp.add_argument("--max-inflight", type=int, default=2,
                         help="shards executing concurrently")
         fp.add_argument("--jobs-per-shard", type=int, default=1,
@@ -489,11 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="drain gracefully after N shards (ops/test knob)")
         fp.add_argument("--progress", action="store_true",
                         help="stream live progress (trials/s, ETA) to stderr")
-        fp.set_defaults(parser=fp)
+        return fp
 
-    fp = fleet_sub.add_parser("submit", help="run a named campaign sharded")
+    fp = fleet_verb("submit", "run a named campaign sharded")
     fp.add_argument("--name", default="noise-mc",
                     help="campaign to run (exec campaigns + fleet campaigns)")
+    fp.add_argument("--shard-size", type=int, default=256,
+                    help="trials per shard (the dispatch/resume unit)")
     fp.add_argument("--campaign-env", default="cloud",
                     help="named environment / noise preset for the trials")
     fp.add_argument("--algo", default="bins", choices=algorithm_names())
@@ -509,16 +518,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="dc-placement: simulated datacenter size")
     fp.add_argument("--dc-seed", type=int, default=0,
                     help="dc-placement: datacenter churn/placement seed")
-    fleet_common(fp)
-    fp.set_defaults(fn=cmd_fleet)
 
+    # resume and drain run the shards planned at submit: no --shard-size.
     for verb, help_text in (
         ("resume", "finish a run's pending shards"),
         ("drain", "finish only started shards, then compact"),
         ("status", "show run progress from disk"),
         ("aggregate", "stream a run's store into aggregates"),
     ):
-        fp = fleet_sub.add_parser(verb, help=help_text)
+        fp = fleet_verb(verb, help_text)
         fp.add_argument("run", nargs="?" if verb == "status" else None,
                         default=None if verb == "status" else argparse.SUPPRESS,
                         help="run id (directory name or unique prefix)")
@@ -529,8 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
             fp.add_argument("--verify-serial", action="store_true",
                             help="re-run the campaign serially and require "
                             "value-identical aggregates")
-        fleet_common(fp)
-        fp.set_defaults(fn=cmd_fleet)
 
     p = sub.add_parser(
         "fuzz",

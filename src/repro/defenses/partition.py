@@ -73,7 +73,7 @@ class WayPartitionedCache:
     allows_cross_part_copies = False
 
     def parts(self) -> Dict[str, SetAssociativeCache]:
-        """Inner flat caches by domain label (checker/snapshot protocol)."""
+        """Inner flat caches by domain label (checker/digest protocol)."""
         return self._parts
 
     # -- Interface mirrored from SetAssociativeCache ------------------------

@@ -69,7 +69,7 @@ class _RandomizedSharedCache:
     serving the observable read-only views), the epoch/access
     bookkeeping for auto-rekey, and the ``parts()`` /
     ``snapshot_extra()`` / ``validate()`` protocol the invariant checker
-    and the snapshot layer generalize over.
+    and :func:`~repro.check.digest.plane_digest` generalize over.
     """
 
     def __init__(
@@ -171,7 +171,7 @@ class _RandomizedSharedCache:
     def exchange_noise_clock(self, set_idx: int, now: int) -> int:
         return self._clock_part().exchange_noise_clock(set_idx, now)
 
-    # -- checker / snapshot protocol ----------------------------------------
+    # -- checker / digest protocol ------------------------------------------
 
     def parts(self) -> Dict[str, SetAssociativeCache]:
         """Inner flat caches, keyed by a stable label (checker protocol)."""
@@ -181,22 +181,15 @@ class _RandomizedSharedCache:
         return set(self._ext)
 
     def snapshot_extra(self) -> Dict[str, Any]:
-        """Wrapper-local state beyond the inner planes (snapshot protocol)."""
+        """Wrapper-local state beyond the inner planes, which
+        :func:`~repro.check.digest.plane_digest` folds in."""
         return {
             "ext": dict(self._ext),
             "accesses": self._accesses,
             "epochs": self._epochs(),
         }
 
-    def restore_extra(self, extra: Dict[str, Any]) -> None:
-        self._ext = dict(extra["ext"])
-        self._accesses = extra["accesses"]
-        self._set_epochs(extra["epochs"])
-
     def _epochs(self) -> List[int]:
-        raise NotImplementedError
-
-    def _set_epochs(self, epochs: List[int]) -> None:
         raise NotImplementedError
 
     def validate(self) -> None:
@@ -316,11 +309,6 @@ class CeaserCache(_RandomizedSharedCache):
     def _epochs(self) -> List[int]:
         return [self._index.epoch]
 
-    def _set_epochs(self, epochs: List[int]) -> None:
-        index = self._index
-        index.epoch = epochs[0]
-        index._key = epoch_key(index._master, index.epoch)
-
 
 class SkewedCache(_RandomizedSharedCache):
     """Skewed associativity: per-way-group keyed index functions.
@@ -435,9 +423,3 @@ class SkewedCache(_RandomizedSharedCache):
 
     def _epochs(self) -> List[int]:
         return [index.epoch for index in self._indexes]
-
-    def _set_epochs(self, epochs: List[int]) -> None:
-        for index, epoch in zip(self._indexes, epochs):
-            index.epoch = epoch
-            index._key = epoch_key(index._master, epoch)
-        self._select_key = epoch_key(self._select_master, epochs[0])

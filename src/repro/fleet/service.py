@@ -38,6 +38,7 @@ from ..exec.spec import Campaign
 from .campaigns import FLEET_CAMPAIGNS, quiet_hours_priority
 from .datacenter import Datacenter, DatacenterConfig
 from .scheduler import FleetPolicy, FleetReport, FleetScheduler
+from .sharding import DEFAULT_SHARD_SIZE
 from .store import FleetStore
 
 #: Everything submittable to the fleet: the generic CLI campaigns plus
@@ -93,8 +94,14 @@ def build_campaign(spec: Dict) -> Campaign:
 
 
 def policy_from_args(args) -> FleetPolicy:
+    """The policy the scheduling flags ask for.
+
+    Only ``submit`` plans shards, so only it takes ``--shard-size``;
+    ``resume`` and ``drain`` run the shards their store planned, and the
+    scheduler reads no shard size.
+    """
     return FleetPolicy(
-        shard_size=args.shard_size,
+        shard_size=getattr(args, "shard_size", DEFAULT_SHARD_SIZE),
         max_inflight=args.max_inflight,
         jobs_per_shard=args.jobs_per_shard,
         shard_retries=args.shard_retries,
@@ -132,17 +139,16 @@ def _print_report(report: FleetReport, store: FleetStore) -> None:
     )
 
 
-def _drive(campaign: Campaign, spec: Dict, args, shards=None) -> int:
-    """Common submit/resume body: schedule, run, compact when complete."""
-    policy = policy_from_args(args)
-    store = FleetStore(args.fleet_dir, campaign, policy.shard_size)
+def _drive(store: FleetStore, spec: Dict, args, shards=None) -> int:
+    """Common submit/resume/drain body: schedule ``args.policy``, run,
+    compact when complete."""
     store.write_meta({"cli": spec})
     reporter = ProgressReporter(enabled=args.progress)
     scheduler = FleetScheduler(
-        campaign,
+        store.campaign,
         store,
-        policy,
-        priority=_priority_for(spec, campaign),
+        args.policy,
+        priority=_priority_for(spec, store.campaign),
         reporter=reporter,
     )
     # SIGINT/SIGTERM drain gracefully: in-flight shards finish and flush.
@@ -177,8 +183,8 @@ def cmd_submit(args) -> int:
               f"choose from {sorted(SUBMITTABLE)}", file=sys.stderr)
         return 2
     spec = cli_spec(args.name, args)
-    campaign = build_campaign(spec)
-    return _drive(campaign, spec, args)
+    store = FleetStore(args.fleet_dir, build_campaign(spec), args.shard_size)
+    return _drive(store, spec, args)
 
 
 def _find_run_dir(root: Path, run: str) -> Optional[Path]:
@@ -224,9 +230,6 @@ def _reopen(args) -> Optional[tuple]:
             file=sys.stderr,
         )
         return None
-    # The run's shard geometry is fixed at submit time; resume/drain must
-    # re-plan with it even if the CLI default differs.
-    args.shard_size = meta["shard_size"]
     return campaign, meta, store
 
 
@@ -234,13 +237,13 @@ def cmd_resume(args) -> int:
     reopened = _reopen(args)
     if reopened is None:
         return 2
-    campaign, meta, store = reopened
+    _, meta, store = reopened
     pending = store.pending_shards()
     if not pending:
         print(f"run {store.run_id} already complete")
         return 0
     print(f"resuming {store.run_id}: {len(pending)} shards pending")
-    return _drive(campaign, meta["cli"], args)
+    return _drive(store, meta["cli"], args)
 
 
 def cmd_drain(args) -> int:
@@ -255,7 +258,7 @@ def cmd_drain(args) -> int:
     if started:
         print(f"draining {store.run_id}: finishing {len(started)} "
               "started shards")
-        code = _drive(campaign, meta["cli"], args, shards=started)
+        code = _drive(store, meta["cli"], args, shards=started)
         if code:
             return code
     path = store.compact()

@@ -16,7 +16,6 @@ from .kernels import AttackKernels, PlaneRows, TranslationPlane, kernels_disable
 from .machine import Machine
 from .replacement import make_policy
 from .slice_hash import ComplexSliceHash, LinearSliceHash, make_slice_hash
-from .snapshot import MachineCheckpoint, checkpoint, checkpoint_key, restore
 from .vec import VecKernels, vec_disabled
 
 __all__ = [
@@ -27,16 +26,12 @@ __all__ = [
     "Level",
     "LinearSliceHash",
     "Machine",
-    "MachineCheckpoint",
     "NOISE_OWNER",
     "PlaneRows",
     "SetAssociativeCache",
     "TranslationPlane",
     "VecKernels",
-    "checkpoint",
-    "checkpoint_key",
     "kernels_disabled",
-    "restore",
     "vec_disabled",
     "line_address",
     "make_policy",

@@ -1,10 +1,10 @@
 """Shared helpers for the parity suites: digests and monitor set-up.
 
-The parity suites (data plane, kernels, snapshots, defenses)
-and the differential fuzzer all fingerprint a machine the same way.  The
-implementation lives in :mod:`repro.check.digest` — the fuzz oracle diffs
-exactly what the golden fingerprints pin — and this module re-exports it
-under the historical helper names the suites use.  The monitor-loop
+The parity suites (data plane, kernels, defenses) and the differential
+fuzzer all fingerprint a machine the same way.  The implementation lives
+in :mod:`repro.check.digest` — the fuzz oracle diffs exactly what the
+golden fingerprints pin — and this module re-exports it under the
+historical helper names the suites use.  The monitor-loop
 suites also share how they build an eviction set and its victim.
 """
 

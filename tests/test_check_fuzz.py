@@ -265,6 +265,20 @@ class TestArtifacts:
         with pytest.raises(ReproError, match="'counter' RNG contract"):
             replay_artifact(counter)
 
+    @pytest.mark.parametrize(
+        "op", [["bogus", 1], ["snapshot"], ["restore", 0]],
+        ids=["bogus", "snapshot", "restore"],
+    )
+    def test_replay_refuses_op_outside_the_grammar(self, tmp_path, op):
+        """Recorded as an op failure, an unknown op would fail alike on
+        every tier and pass the verdict; the replay refuses it instead
+        (older artifacts carry the deleted ``snapshot``/``restore``)."""
+        trace = generate_trace(QUIET, 3)
+        path = write_artifact(
+            tmp_path / "t.json", {**trace, "ops": trace["ops"] + [op]}, {})
+        with pytest.raises(ReproError, match=f"unknown fuzz op.*'{op[0]}'"):
+            replay_artifact(path)
+
     def test_rejects_non_artifact(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text(json.dumps({"version": 9}))

@@ -160,6 +160,8 @@ class TestPolicyFlags:
              "max_inflight must be >= 1"),
             (["campaign", "--batch", "0"], "batch must be >= 1"),
             (["campaign", "--jobs", "-2"], "jobs must be >= 1"),
+            (["fleet", "resume", "noise-mc", "--max-inflight", "0"],
+             "max_inflight must be >= 1"),
         ],
     )
     def test_bad_value_is_a_usage_error(self, capsys, tmp_path, argv, message):
@@ -171,6 +173,26 @@ class TestPolicyFlags:
         assert err.startswith("usage: repro " + argv[0])
         assert f"error: {message}" in err
         assert not any(tmp_path.iterdir())  # rejected before any work
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fleet", "status", "noise-mc", "--max-inflight", "3"],
+            ["fleet", "status", "noise-mc", "--batch", "9"],
+            ["fleet", "aggregate", "noise-mc", "--jobs-per-shard", "2"],
+            ["fleet", "resume", "noise-mc", "--shard-size", "7"],
+            ["fleet", "drain", "noise-mc", "--shard-size", "7"],
+        ],
+        ids=lambda argv: f"{argv[1]}{argv[3]}",
+    )
+    def test_fleet_verb_takes_only_the_flags_it_uses(self, capsys, argv):
+        """status and aggregate run no shard, and resume and drain run the
+        shards planned at submit: a flag they would ignore is refused."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert (f"unrecognized arguments: {' '.join(argv[3:])}"
+                in capsys.readouterr().err)
 
 
 class TestFuzzCommand:

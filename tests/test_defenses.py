@@ -187,15 +187,19 @@ class TestCeaserCache:
             cache.validate()
 
     def test_snapshot_extra_roundtrip(self):
+        """``snapshot_extra`` publishes what ``plane_digest`` folds in
+        beyond the inner planes: the residency map and the rekey epochs."""
         cache = self._cache()
         for tag in range(6):
             cache.insert(tag, tag)
         extra = cache.snapshot_extra()
-        cache.rekey()
-        cache.insert(0, 50)
-        cache.restore_extra(extra)
-        assert cache.epoch == 0
-        assert set(extra["ext"]) == set(cache.resident_tags())
+        assert set(extra["ext"]) == cache.resident_tags()
+        assert extra["epochs"] == [0]
+        invalidated = cache.rekey()
+        extra = cache.snapshot_extra()
+        assert extra["epochs"] == [1]
+        assert set(extra["ext"]) == cache.resident_tags()
+        assert cache.resident_tags().isdisjoint(t for t, _ in invalidated)
 
 
 class TestSkewedCache:

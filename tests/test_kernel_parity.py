@@ -19,6 +19,9 @@ suites hold them to it:
   from the unfused path.  They freeze trial behavior against drift in
   *either* path: a kernel "optimization" that reorders RNG draws and a
   Machine change that forgets the kernels both show up here.
+* **Digest blindness** — the goldens hold only while no digest can see
+  the accelerator caches (translation memos, recorded monitor rounds):
+  a warm and a cold run of one trial must fingerprint the same.
 
 Everything here is fast-lane sized (small machine, tiny pools, short
 budgets) so CI runs it on every push.
@@ -43,7 +46,7 @@ from tests._parity import (
     _victim_line,
 )
 
-from repro.check.digest import plane_digest
+from repro.check.digest import assert_digest_memo_blind, plane_digest
 from repro.check.fuzz import _reference_cache_swap
 from repro.config import (
     cloud_run_noise,
@@ -272,6 +275,21 @@ def test_vec_replay_actually_engages():
     assert "replay-read" not in log["events"]
     assert log["folded"] > 0.9 * probes, (log["folded"], probes)
     assert 0 < write_backs < log["folded"] / 10, (write_backs, log["folded"])
+
+
+def test_digests_blind_to_accelerator_caches():
+    """Warm the translation memos and the monitor-round memo, quiet and
+    under cloud noise, then prove that neither digest can see them."""
+    for noise in (no_noise(), cloud_run_noise()):
+        machine = Machine(skylake_sp_small(), noise=noise, seed=11)
+        ctx = AttackerContext(machine, seed=5)
+        ctx.calibrate()
+        evset, _ = _congruent_evset(ctx, "sf", machine.cfg.sf.ways)
+        monitor_set(ParallelProbing(ctx, evset), duration_cycles=100_000)
+        rounds = sum(
+            len(geom.entries) for geom in ctx.kernels()._vmemo.values())
+        assert rounds >= 1, f"no monitor round recorded under {noise}"
+        assert_digest_memo_blind(machine, ctx)
 
 
 def _due_victim_run(path: str) -> dict:
