@@ -19,8 +19,8 @@ simulator itself across its three generations of hot path:
   ``AttackKernels`` control machine (parity asserted in-bench by
   digest);
 * **batch** — chunked dispatch (DESIGN.md §2.6), measured at the
-  campaign level: microsecond trials sent to the pool one per task vs.
-  16 per task.
+  campaign level: microsecond trials sent to the workers one per
+  message vs. 16 per message.
 
 The reference, batched and kernels paths run the same workloads and —
 because the kernels are bit-identical by construction — must produce the
@@ -349,8 +349,9 @@ def _bench_batch(quick: bool):
     """Chunked dispatch (DESIGN.md §2.6): campaign-level throughput.
 
     Microsecond trials (the ``noise-mc`` shape) through
-    ``run_campaign(jobs=4)``: with ``batch=16`` a whole chunk is one pool
-    task, amortizing submit/pickle/result IPC across its trials.  Values
+    ``run_campaign(jobs=4)``: with ``batch=16`` a whole chunk is one
+    message to a worker, amortizing send/pickle/result IPC across its
+    trials.  Values
     are byte-compared between the two dispatch modes: chunking must not
     buy a single bit of divergence.
     """
@@ -358,7 +359,7 @@ def _bench_batch(quick: bool):
     from repro.fleet.campaigns import NoiseWindowConfig, noise_mc_campaign
 
     batch = 16
-    # Enough trials that per-task dispatch cost dominates the constant
+    # Enough trials that per-message dispatch cost dominates the constant
     # pool fork/teardown both modes share — too few dilutes the contrast.
     n_micro = 8_000 if quick else 40_000
     micro = noise_mc_campaign(
@@ -648,8 +649,8 @@ def run_perf(
             f"vec stage below 1.5x kernels accesses/sec: {vec_base:.2f}x"
         )
     # Batch perf smoke: chunked dispatch must beat per-trial dispatch on
-    # micro-trial campaign throughput (measured ~6x at batch=16; 1.5
-    # absorbs CI noise).
+    # micro-trial campaign throughput (2.3x at batch=16 in a quick run on
+    # a 2-vCPU host; 1.5 absorbs CI noise).
     if batch_results is not None:
         assert batch_results["dispatch_speedup"] >= 1.5, (
             f"batched dispatch below 1.5x per-trial dispatch: "

@@ -454,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retries", type=int, default=1,
                    help="resubmissions allowed after worker crashes")
     p.add_argument("--batch", type=int, default=1,
-                   help="trials per pool task with --jobs > 1 (default 1); "
-                   "results are identical for any value")
+                   help="trials per message to a worker with --jobs > 1 "
+                   "(default 1); results are identical for any value")
     p.add_argument("--journal-dir", default=str(DEFAULT_JOURNAL_DIR),
                    help="JSONL journal directory (reruns resume from it)")
     p.add_argument("--no-journal", action="store_true",
@@ -488,8 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
         fp.add_argument("--timeout-s", type=float, default=None,
                         help="per-trial wall-clock timeout in seconds")
         fp.add_argument("--batch", type=int, default=1,
-                        help="trials per pool task inside each shard with "
-                        "--jobs-per-shard > 1 (default 1)")
+                        help="trials per message to a worker inside each "
+                        "shard with --jobs-per-shard > 1 (default 1)")
         fp.add_argument("--flush-every", type=int, default=64,
                         help="trials per durable segment flush")
         fp.add_argument("--stop-after-shards", type=int, default=None,

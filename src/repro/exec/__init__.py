@@ -8,9 +8,10 @@ staying bit-identical to serial execution:
 * :mod:`repro.exec.spec` — :class:`TrialSpec` / :class:`Campaign`:
   picklable ``(fn, config, seed)`` units with deterministic per-campaign
   seed streams and a content fingerprint.
-* :mod:`repro.exec.executor` — :func:`run_campaign` on a process pool
-  with per-trial timeouts, bounded crash retry, and a serial fallback;
-  a :class:`WorkerPool` keeps the workers up across calls.
+* :mod:`repro.exec.executor` — :func:`run_campaign` on forked workers,
+  one pipe each, with per-trial timeouts, bounded crash retry, and a
+  serial fallback; a :class:`WorkerPool` keeps the workers up across
+  calls.
 * :mod:`repro.exec.journal` — a JSONL result journal keyed by the
   campaign fingerprint; reruns resume and repeat invocations are cache
   hits.

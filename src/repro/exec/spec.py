@@ -6,7 +6,7 @@ ordered list of trials whose seeds come from a deterministic per-campaign
 stream, so the result of trial ``i`` depends only on ``(fn, config, seed)``
 — never on worker count, scheduling order, or which process ran it.  That
 is the property that lets :mod:`repro.exec.executor` fan a campaign out
-over a process pool while staying bit-identical to serial execution.
+over worker processes while staying bit-identical to serial execution.
 
 Campaigns also carry a *fingerprint* — a hash of name, configs, seeds, and
 code version — which keys the on-disk result journal

@@ -1,7 +1,7 @@
 """The fleet scheduler: campaigns as a long-running service.
 
 One scheduler drives one campaign run to completion (or graceful drain)
-over the existing process-pool executor, from one wait loop on the
+over the campaign engine's worker pools, from one wait loop on the
 calling thread:
 
 * shards are dispatched in the order ``order_shards`` gives the whole
@@ -30,6 +30,12 @@ Everything the scheduler does is restartable: trial results are durable
 in the store as shards execute, so a SIGKILL at any point loses at most
 each in-flight shard's unflushed tail, and ``resume`` re-plans the same
 shards and completes the remainder.
+
+The store is read once per run, to plan it.  The report's
+``completed_trials`` is that pass's count with each executed shard's
+planned count replaced by its final ``ok + cached`` (recounted from its
+segment if its last attempt raised), so it matches the store without a
+second pass.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ class FleetPolicy:
     shards (pipeline overlap), so a run keeps up to ``max_inflight *
     jobs_per_shard`` worker processes, and it bounds how many shards run
     ahead of the consumer (backpressure).  ``batch`` is how many of a
-    shard's trials go to one of its workers as a single pool task (see
+    shard's trials go to one of its workers as a single message (see
     :class:`repro.exec.ExecPolicy`).  Shards run on scheduler threads,
     where a ``SIGALRM`` cannot fire, so a ``timeout_s`` runs every
     shard's trials in worker processes even at ``jobs_per_shard=1``.
@@ -125,7 +131,12 @@ class FleetReport:
 
 
 class FleetScheduler:
-    """Shard scheduler over one campaign and its results store."""
+    """Shard scheduler over one campaign and its results store.
+
+    The store planned the shards, so it owns the shard size: a policy
+    whose ``shard_size`` differs is a ``ValueError``, and no policy means
+    the default one at the store's shard size.
+    """
 
     def __init__(
         self,
@@ -136,9 +147,16 @@ class FleetScheduler:
         reporter: Optional["ProgressReporter"] = None,
         on_shard: Optional[Callable[[ShardOutcome], None]] = None,
     ) -> None:
+        policy = policy or FleetPolicy(shard_size=store.shard_size)
+        if policy.shard_size != store.shard_size:
+            raise ValueError(
+                f"policy shard_size {policy.shard_size} differs from the "
+                f"store's shard_size {store.shard_size}, which planned "
+                "its shards"
+            )
         self.campaign = campaign
         self.store = store
-        self.policy = policy or FleetPolicy()
+        self.policy = policy
         self.priority = priority
         self.reporter = reporter
         self.on_shard = on_shard
@@ -222,31 +240,29 @@ class FleetScheduler:
         started_at = time.perf_counter()
         progress = self.store.progress()
         wanted = None if shards is None else set(shards)
-        plan = order_shards(
-            [
-                shard for shard, p in zip(self.store.shards, progress)
-                if not p.complete and (wanted is None or shard in wanted)
-            ],
-            self.priority,
-        )
-        already_done = sum(p.done for p in progress)
+        planned = {
+            shard: p.done for shard, p in zip(self.store.shards, progress)
+            if not p.complete and (wanted is None or shard in wanted)
+        }
+        plan = order_shards(list(planned), self.priority)
 
         report = FleetReport(
             run_id=self.store.run_id,
             fingerprint=self.store.fingerprint,
             total_trials=len(self.campaign),
             n_shards=len(self.store.shards),
+            completed_trials=sum(p.done for p in progress),
         )
         if self.reporter is not None:
             self.reporter.start(
                 f"fleet:{self.campaign.name}",
                 total=len(self.campaign),
-                cached=already_done,
+                cached=report.completed_trials,
             )
 
-        # One process pool per in-flight shard, forked on its first
+        # One worker pool per in-flight shard, forked on its first
         # parallel shard: concurrent shards never share workers, so one
-        # shard's crash cannot break another's trials.
+        # shard's crash cannot touch another's trials.
         pools = [
             WorkerPool(policy.jobs_per_shard)
             for _ in range(min(policy.max_inflight, len(plan)))
@@ -277,7 +293,7 @@ class FleetScheduler:
                     finished, _ = wait(running, return_when=FIRST_COMPLETED)
                     for future in finished:
                         outcome = future.result()
-                        self._account(outcome, report)
+                        self._account(outcome, report, planned[outcome.shard])
                         if self.on_shard is not None:
                             self.on_shard(outcome)
                         if (
@@ -291,14 +307,19 @@ class FleetScheduler:
                 workers.close()
 
         report.shards_skipped = len(plan) - dispatched
-        report.completed_trials = self.store.completed_trials()
         report.drained = self._drain_requested and not report.complete
         report.elapsed_s = time.perf_counter() - started_at
         if self.reporter is not None:
             self.reporter.finish(self.reporter.snapshot())
         return report
 
-    def _account(self, outcome: ShardOutcome, report: FleetReport) -> None:
+    def _account(
+        self, outcome: ShardOutcome, report: FleetReport, planned_done: int
+    ) -> None:
+        done = outcome.done
+        if outcome.error is not None:
+            done = self.store.segment_trials(outcome.shard)
+        report.completed_trials += done - planned_done
         report.shards_executed += 1
         report.shard_retries += outcome.attempts - 1
         if outcome.error is not None or outcome.failed:

@@ -23,6 +23,7 @@ Verbs:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import signal
 import sys
@@ -97,8 +98,8 @@ def policy_from_args(args) -> FleetPolicy:
     """The policy the scheduling flags ask for.
 
     Only ``submit`` plans shards, so only it takes ``--shard-size``;
-    ``resume`` and ``drain`` run the shards their store planned, and the
-    scheduler reads no shard size.
+    ``resume`` and ``drain`` run the shards their store planned, at the
+    store's shard size (:func:`_drive`).
     """
     return FleetPolicy(
         shard_size=getattr(args, "shard_size", DEFAULT_SHARD_SIZE),
@@ -140,14 +141,14 @@ def _print_report(report: FleetReport, store: FleetStore) -> None:
 
 
 def _drive(store: FleetStore, spec: Dict, args, shards=None) -> int:
-    """Common submit/resume/drain body: schedule ``args.policy``, run,
-    compact when complete."""
+    """Common submit/resume/drain body: schedule ``args.policy`` at the
+    store's shard size, run, compact when complete."""
     store.write_meta({"cli": spec})
     reporter = ProgressReporter(enabled=args.progress)
     scheduler = FleetScheduler(
         store.campaign,
         store,
-        args.policy,
+        dataclasses.replace(args.policy, shard_size=store.shard_size),
         priority=_priority_for(spec, store.campaign),
         reporter=reporter,
     )

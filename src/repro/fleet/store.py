@@ -280,6 +280,10 @@ class FleetStore:
     def completed_trials(self) -> int:
         return sum(p.done for p in self.progress())
 
+    def segment_trials(self, shard: ShardSpec) -> int:
+        """Finished trials in the shard's live segment (it alone is read)."""
+        return len({obj["index"] for obj in self._segment_records(shard)})
+
     # -- streaming read path ----------------------------------------------
 
     def iter_completed(self) -> Iterator[Tuple[int, dict]]:

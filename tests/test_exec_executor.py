@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import os
 import random
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -55,8 +58,61 @@ def pid_trial(cfg, seed):
     return os.getpid()
 
 
+def crash_or_sleep_trial(cfg, seed):
+    if seed == cfg["crash_seed"]:
+        os._exit(3)
+    time.sleep(cfg["sleep_s"])
+    return seed
+
+
+def reply_then_die_trial(cfg, seed):
+    # Seed 1 replies late, then its worker dies while it runs seed 3.
+    if seed == 1:
+        time.sleep(0.05)
+        threading.Timer(0.1, os._exit, args=(3,)).start()
+    elif seed == 3:
+        time.sleep(0.5)
+    return os.getpid()
+
+
+def echo_trial(cfg, seed):
+    return cfg["blob"]
+
+
+def lambda_trial(cfg, seed):
+    if seed == cfg["lambda_seed"]:
+        return lambda: seed  # cannot be pickled back to the caller
+    return seed
+
+
 def _campaign(fn, cfg, trials, **kwargs):
     return Campaign.build("exec-test", fn, cfg, trials=trials, **kwargs)
+
+
+class _Reporter:
+    """A progress reporter that runs ``on_update`` on each record."""
+
+    def __init__(self, on_update):
+        self.on_update = on_update
+
+    def start(self, *args, **kwargs):
+        pass
+
+    def update(self, record):
+        self.on_update(record)
+
+    def finish(self, metrics):
+        pass
+
+
+def _bounded(fn, timeout_s=60):
+    """``fn()``'s result; fails the test if it has not returned in time."""
+    box = {}
+    runner = threading.Thread(target=lambda: box.update(out=fn()), daemon=True)
+    runner.start()
+    runner.join(timeout=timeout_s)
+    assert not runner.is_alive(), "run hung"
+    return box["out"]
 
 
 class TestParity:
@@ -106,6 +162,21 @@ class TestFailures:
         assert all("odd seed" in r.error for r in failed)
         # Successful trials are still returned, in order.
         assert result.values() == [0, 20, 40]
+
+    def test_unpicklable_value_fails_its_chunk(self):
+        campaign = _campaign(
+            lambda_trial, {"lambda_seed": 5}, trials=8,
+            seed_mode="arithmetic", base_seed=0,
+        )
+        result = _bounded(
+            lambda: run_campaign(campaign, ExecPolicy(jobs=2, batch=2))
+        )
+        statuses = {r.seed: r.status for r in result.records}
+        assert statuses == {
+            s: ("failed" if s in (4, 5) else "ok") for s in range(8)
+        }
+        assert all("pickle" in r.error for r in result.failures())
+        assert result.values() == [0, 1, 2, 3, 6, 7]
 
     def test_raise_on_failure(self):
         campaign = _campaign(
@@ -181,6 +252,47 @@ class TestCrashRecovery:
                 assert reused.ok
                 assert reused.values() == run_campaign(again).values()
 
+    def test_worker_death_charges_only_the_chunks_it_held(self):
+        # Two chunks per worker: seeds 0 and 2 go to one worker, 1 and 3
+        # to the other.  Seed 0 kills its worker at once, while the other
+        # still runs seed 1 with seed 3 queued behind it.
+        campaign = _campaign(
+            crash_or_sleep_trial, {"crash_seed": 0, "sleep_s": 0.3},
+            trials=4, seed_mode="arithmetic", base_seed=0,
+        )
+        result = _bounded(
+            lambda: run_campaign(campaign, ExecPolicy(jobs=2, max_retries=1))
+        )
+        by_seed = {r.seed: r for r in result.records}
+        assert by_seed[0].status == "crashed" and by_seed[0].attempts == 2
+        assert by_seed[2].attempts == 2
+        assert by_seed[1].attempts == by_seed[3].attempts == 1
+        assert result.values() == [1, 2, 3]
+
+    def test_reply_sent_before_death_is_kept(self):
+        stalled = []
+
+        def stall_once(record):
+            # The caller sits in its reporter while the other worker
+            # replies for seed 1 and dies, so it finds both at once.
+            if not stalled:
+                stalled.append(record.seed)
+                time.sleep(1.0)
+
+        campaign = _campaign(
+            reply_then_die_trial, {}, trials=4,
+            seed_mode="arithmetic", base_seed=0,
+        )
+        result = _bounded(lambda: run_campaign(
+            campaign, ExecPolicy(jobs=2), reporter=_Reporter(stall_once)
+        ))
+        assert result.ok
+        by_seed = {r.seed: r for r in result.records}
+        assert by_seed[1].attempts == 1  # kept, not re-run
+        assert by_seed[3].attempts == 2  # held by the dead worker
+        assert by_seed[1].value != by_seed[3].value
+        assert result.metrics.retried == 1
+
     def test_zero_retries_gives_up_after_first_crash(self):
         campaign = _campaign(
             crashing_trial,
@@ -196,25 +308,17 @@ class TestCrashRecovery:
 
 
 class TestWorkerPool:
-    def test_forks_lazily_and_once_across_calls(self, monkeypatch):
-        forks = []
-
-        class CountingPool(executor_mod.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                forks.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", CountingPool)
+    def test_forks_lazily_and_once_across_calls(self):
         campaign = _campaign(rng_trial, {"bound": 100, "n": 4}, trials=6)
         serial = run_campaign(campaign).values()
         with WorkerPool(2) as pool:
-            assert forks == []
+            assert pool.forks == 0
             for batch in (1, 2, 4):
                 result = run_campaign(
                     campaign, ExecPolicy(jobs=2, batch=batch), pool=pool
                 )
                 assert result.values() == serial
-        assert forks == [2]
+        assert pool.forks == 2
 
     def test_reused_pool_survives_idle_worker_death(self):
         dies = _campaign(
@@ -234,15 +338,46 @@ class TestWorkerPool:
         with pytest.raises(ValueError):
             WorkerPool(0)
 
+    def test_large_chunks_and_replies_do_not_deadlock(self):
+        # A chunk and its reply each overflow a pipe's socket buffer: a
+        # chunk sent ahead to a busy worker would block the caller while
+        # that worker blocks sending its reply.
+        blob = bytes(range(256)) * 1200
+        campaign = _campaign(echo_trial, {"blob": blob}, trials=6)
+        result = _bounded(lambda: run_campaign(campaign, ExecPolicy(jobs=2)))
+        assert result.values() == [blob] * 6
+
+    def test_parallel_run_starts_no_thread(self):
+        before = threading.active_count()
+        seen = []
+        reporter = _Reporter(lambda _: seen.append(threading.active_count()))
+        campaign = _campaign(rng_trial, {"bound": 100, "n": 4}, trials=40)
+        for batch in (1, 4):
+            result = run_campaign(
+                campaign, ExecPolicy(jobs=2, batch=batch), reporter=reporter
+            )
+            assert result.ok
+        assert len(seen) == 80 and set(seen) == {before}
+
+    def test_engine_imports_no_process_pool_executor(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = (
+            "import sys, repro.exec\n"
+            "print('concurrent.futures.process' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert out.stdout.strip() == "False"
+
 
 class TestSerialFallback:
     def test_pool_creation_failure_falls_back_to_serial(self, monkeypatch):
-        def broken_pool(*args, **kwargs):
-            raise OSError("no process pool available")
+        def broken_fork(self):
+            raise OSError("no process can be forked")
 
-        monkeypatch.setattr(
-            executor_mod, "ProcessPoolExecutor", broken_pool
-        )
+        monkeypatch.setattr(executor_mod.WorkerPool, "_fork", broken_fork)
         campaign = _campaign(rng_trial, {"bound": 100, "n": 8}, trials=4)
         result = run_campaign(campaign, ExecPolicy(jobs=4))
         assert result.ok

@@ -7,6 +7,7 @@ serial ``run_campaign`` of the same specs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.cli as cli
 import repro.exec.journal as journal_mod
 import repro.fleet.scheduler as scheduler_mod
 from repro.analysis.streaming import (
@@ -66,6 +68,12 @@ def dying_trial(cfg, seed):
         os._exit(3)
     if seed == cfg["slow_seed"]:
         time.sleep(cfg["sleep_s"])
+    return {"seed": seed}
+
+
+def flaky_trial(cfg, seed):
+    if seed % 3 == 0:
+        raise RuntimeError("boom")
     return {"seed": seed}
 
 
@@ -126,14 +134,14 @@ class TestSharding:
 
 class TestStoreAndResume:
     def test_fleet_matches_serial_run_campaign(self, tmp_path, monkeypatch):
-        forks = []
+        forks = []  # the pool of each forked worker
+        fork = executor_mod.WorkerPool._fork
 
-        class CountingPool(executor_mod.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                forks.append(1)
-                super().__init__(*args, **kwargs)
+        def counting_fork(pool):
+            forks.append(id(pool))
+            return fork(pool)
 
-        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(executor_mod.WorkerPool, "_fork", counting_fork)
         campaign = _campaign(trials=300)
         policy = FleetPolicy(
             shard_size=64, max_inflight=3, jobs_per_shard=2, batch=16
@@ -143,7 +151,8 @@ class TestStoreAndResume:
         # Five shards, but each in-flight slot forks one pool and reuses
         # it; the pools are closed when the run returns.
         assert report.shards_executed == 5
-        assert 1 <= len(forks) <= policy.max_inflight
+        assert 1 <= len(set(forks)) <= policy.max_inflight
+        assert len(forks) == policy.jobs_per_shard * len(set(forks))
         assert multiprocessing.active_children() == []
         fleet_values = [v for _, v in store.iter_values()]
         assert fleet_values == _serial_values(campaign)
@@ -174,13 +183,13 @@ class TestStoreAndResume:
             "run_fleet(c, {root!r}, FleetPolicy(shard_size=100, flush_every=10))\n"
         ).format(src=str(Path(__file__).resolve().parent.parent / "src"),
                  root=str(tmp_path))
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True
-        )
-        assert proc.stdout.readline().strip() == "ready"
-        time.sleep(0.15)  # let some shards land on disk
-        proc.send_signal(signal.SIGKILL)
-        proc.wait(timeout=10)
+        ) as proc:
+            assert proc.stdout.readline().strip() == "ready"
+            time.sleep(0.15)  # let some shards land on disk
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10)
 
         campaign = noise_mc_campaign(env="cloud", trials=5000, base_seed=3)
         store = FleetStore(tmp_path, campaign, shard_size=100)
@@ -391,6 +400,44 @@ class TestStoreAndResume:
         assert report.complete and report.shards_executed == 0
         assert 0 < len(calls) <= 2 * (len(campaign) + len(store.shards) + 2)
 
+    @pytest.mark.parametrize(
+        "kind", ["complete", "resumed", "drained", "failed", "raised"]
+    )
+    def test_report_counts_what_the_store_holds(
+        self, tmp_path, monkeypatch, kind
+    ):
+        """The report counts from the planning pass and the shard
+        outcomes, and still equals a pass over the store."""
+        from repro.exec.spec import Campaign
+
+        campaign = _campaign(trials=40)
+        policy = FleetPolicy(shard_size=10, max_inflight=1, shard_retries=0)
+        if kind == "resumed":  # shard 2 planned with 9 of its 10 trials
+            campaign, store = self._finished_store(tmp_path)
+            segment = store.segment_path(store.shards[2])
+            segment.write_text(segment.read_text()[:-20])
+        elif kind == "drained":
+            policy = dataclasses.replace(policy, stop_after_shards=2)
+        elif kind == "failed":
+            campaign = Campaign.build(
+                "flaky", flaky_trial, None, trials=40, base_seed=0
+            )
+        elif kind == "raised":  # shard 1's attempt raises after its trials
+            real = scheduler_mod.run_campaign
+
+            def raising(sub, *args, **kwargs):
+                result = real(sub, *args, **kwargs)
+                if sub.seeds == campaign.seeds[10:20]:
+                    raise RuntimeError("attempt raised")
+                return result
+
+            monkeypatch.setattr(scheduler_mod, "run_campaign", raising)
+        report, store = run_fleet(campaign, tmp_path, policy)
+        assert report.completed_trials == store.completed_trials()
+        assert report.complete == (kind not in ("drained", "failed"))
+        if kind == "raised":  # its trials were durable before it raised
+            assert report.shards_failed == 1
+
     def test_store_rejects_foreign_shard(self, tmp_path):
         campaign = _campaign(trials=60, seed=1)
         other = _campaign(trials=60, seed=2)
@@ -481,19 +528,16 @@ class TestScheduler:
     def test_worker_death_fails_only_its_trial(self, tmp_path, monkeypatch):
         from repro.exec.spec import Campaign
 
-        served = {}  # pool -> the executors it handed out, kept alive
+        pools = []  # every shard pool of the run
 
         class RecordingPool(WorkerPool):
-            def get(self):
-                executor = super().get()
-                executors = served.setdefault(id(self), [])
-                if executor not in executors:
-                    executors.append(executor)
-                return executor
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
 
         monkeypatch.setattr(scheduler_mod, "WorkerPool", RecordingPool)
         # Seed 3 kills its worker in shard 0; seed 12 holds the other
-        # in-flight slot in shard 1, so the slot whose pool broke runs
+        # in-flight slot in shard 1, so the slot whose worker died runs
         # the later shards.
         cfg = {"crash_seed": 3, "slow_seed": 12, "sleep_s": 2.0}
         campaign = Campaign.build(
@@ -524,8 +568,8 @@ class TestScheduler:
         expected = dict(enumerate(_serial_values(reference)))
         del expected[3]
         assert dict(store.iter_values()) == expected
-        # The broken pool was replaced by a fresh fork for later shards.
-        assert max(len(executors) for executors in served.values()) == 2
+        # The dead worker was replaced by one fresh fork for later trials.
+        assert max(pool.forks for pool in pools) == policy.jobs_per_shard + 1
 
     def test_failing_callback_raises_instead_of_hanging(self, tmp_path):
         campaign = _campaign(trials=200)
@@ -582,6 +626,14 @@ class TestScheduler:
         # nothing; a negative backoff would make the retry sleep raise.
         with pytest.raises(ValueError, match=field):
             FleetPolicy(**{field: -1})
+
+    def test_policy_of_another_shard_size_is_rejected(self, tmp_path):
+        campaign = _campaign(trials=100)
+        store = FleetStore(tmp_path, campaign, shard_size=64)
+        with pytest.raises(ValueError, match=r"shard_size 256 .* 64"):
+            FleetScheduler(campaign, store, FleetPolicy(shard_size=256))
+        # Without a policy, the scheduler takes the store's shard size.
+        assert FleetScheduler(campaign, store).policy.shard_size == 64
 
     def test_drain_before_start_executes_nothing(self, tmp_path):
         campaign = _campaign(trials=100)
@@ -797,6 +849,55 @@ class TestServiceCLI:
             assert value == noise_window_trial(
                 campaign.configs[index], campaign.seeds[index]
             )
+
+    def test_resume_and_drain_run_at_the_stores_shard_size(
+        self, tmp_path, capsys
+    ):
+        """A run submitted at ``--shard-size 64`` drains and resumes at
+        64, though ``drain`` and ``resume`` take no ``--shard-size``."""
+        flags = ["--fleet-dir", str(tmp_path)]
+        assert cli.main([
+            "fleet", "submit", "--name", "noise-mc", "--trials", "300",
+            "--shard-size", "64", "--max-inflight", "1",
+            "--stop-after-shards", "1", *flags,
+        ]) == 0
+        (run_dir,) = tmp_path.iterdir()
+        meta = json.loads((run_dir / FleetStore.META).read_text())
+        store = FleetStore(tmp_path, build_campaign(meta["cli"]), 64)
+        segment = store.segment_path(store.shards[0])
+        segment.write_text(segment.read_text()[:-20])  # started, unfinished
+        assert cli.main(["fleet", "drain", "noise-mc", *flags]) == 0
+        assert "finishing 1 started shards" in capsys.readouterr().out
+        assert cli.main(["fleet", "resume", "noise-mc", *flags]) == 0
+        out = capsys.readouterr().out
+        assert "resuming" in out and "4 shards pending" in out
+        assert "[complete]" in out
+        assert [v for _, v in store.iter_values()] == _serial_values(
+            store.campaign
+        )
+
+    def test_submit_reads_a_finished_store_twice_after_its_last_shard(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        calls = _count_loads(monkeypatch)
+        real = scheduler_mod.run_campaign
+
+        def shard_then_recount(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.clear()  # count only what comes after the last shard
+            return result
+
+        monkeypatch.setattr(scheduler_mod, "run_campaign", shard_then_recount)
+        trials, shard_size = 200, 64
+        assert cli.main([
+            "fleet", "submit", "--name", "noise-mc", "--trials", str(trials),
+            "--shard-size", str(shard_size), "--fleet-dir", str(tmp_path),
+        ]) == 0
+        assert "[complete]" in capsys.readouterr().out
+        shards = -(-trials // shard_size)
+        # Two passes: compaction parses every segment (its header and its
+        # records), then the printed aggregate parses the compacted file.
+        assert len(calls) == (trials + shards) + (trials + 1)
 
     def test_serial_campaign_cli_shares_noise_mc(self, tmp_path):
         r = self._repro(
